@@ -219,10 +219,16 @@ int main(int argc, char** argv) {
                 std::to_string(out.replicationAssignments)});
     row.printCsv(std::cout);
   } else {
-    std::cout << "scheme: " << out.scheme << "   trace: "
-              << (external ? "external" : traceName) << " (" << out.traceStats.nodeCount
-              << " nodes, " << metrics::fmt(sim::toDays(out.traceStats.duration), 1)
-              << " days, " << out.traceStats.contactCount << " contacts)\n\n";
+    // A --config run without --trace names the config's own trace model,
+    // not the flag's default.
+    const std::string traceLabel =
+        external             ? "external"
+        : applies("--trace") ? traceName
+                             : runner::rateModelName(config.trace.model);
+    std::cout << "scheme: " << out.scheme << "   trace: " << traceLabel << " ("
+              << out.traceStats.nodeCount << " nodes, "
+              << metrics::fmt(sim::toDays(out.traceStats.duration), 1) << " days, "
+              << out.traceStats.contactCount << " contacts)\n\n";
     metrics::Table table({"metric", "value"});
     table.addRow({"mean fresh fraction", metrics::fmt(r.meanFreshFraction)})
         .addRow({"mean valid fraction", metrics::fmt(r.meanValidFraction)})

@@ -10,15 +10,14 @@
 /// Examples:
 ///   dtncache_sweep --trace=infocom --schemes=all --seeds=5 --csv=-
 ///   dtncache_sweep --config=run.json --seeds=8 --jobs=8 --jsonl=out.jsonl
-///   dtncache_sweep --trace=reality \
-///     --sweep="hierarchical.replication.theta=0.5,0.7,0.9;catalog.refreshPeriodSeconds=43200,86400" \
-///     --schemes=hierarchical --seeds=3 --csv=theta.csv
+///   dtncache_sweep --trace=reality --schemes=hierarchical --seeds=3 --csv=theta.csv
+///     --sweep="hierarchical.replication.theta=0.5,0.7,0.9;catalog.refreshPeriodSeconds=43200,86400"
 ///   dtncache_sweep --trace=infocom --list   # print the expanded plan, run nothing
 ///
-/// Distributed modes (see docs/sweep.md): all feed one fragment store, and
-/// the merge is byte-identical to a single-process run of the same grid.
-///   dtncache_sweep --trace=infocom --seeds=8 --store=S --coordinator --csv=out.csv
-///   dtncache_sweep --worker=127.0.0.1:$(cat S/coordinator.port)
+/// Multi-process modes (see docs/sweep.md): spool workers lease jobs from a
+/// shared fragment store, and the merge is byte-identical to a
+/// single-process run of the same grid. Re-running workers on a partly
+/// complete store resumes it.
 ///   dtncache_sweep --trace=infocom --seeds=8 --store=S --spool-init
 ///   dtncache_sweep --store=S --spool-worker     # any number, any host w/ S mounted
 ///   dtncache_sweep --store=S --merge --csv=out.csv
@@ -140,23 +139,15 @@ int runSweep(int argc, char** argv) {
   const bool quiet = args.getBool("--quiet", "suppress progress/ETA on stderr");
   const bool list = args.getBool("--list", "print the expanded job plan and exit");
   const std::string storeDir = args.getString(
-      "--store", "", "fragment store directory (checkpointed/distributed modes)");
-  const bool coordinatorMode =
-      args.getBool("--coordinator", "serve the sweep to TCP workers (needs --store)");
-  const auto port = args.getInt(
-      "--port", 0, "coordinator listen port (0 = auto; see <store>/coordinator.port)");
-  const std::string workerSpec = args.getString(
-      "--worker", "", "run as a TCP worker: HOST:PORT (or just PORT for localhost)");
+      "--store", "", "fragment store directory (spool and merge modes)");
   const bool spoolInitMode = args.getBool(
       "--spool-init", "write the manifest into --store for spool workers, then exit");
   const bool spoolWorkerMode = args.getBool(
       "--spool-worker", "lease and run jobs from --store (shared dir, no networking)");
   const bool mergeMode = args.getBool(
       "--merge", "merge a complete --store into --jsonl/--csv/--trace-out and exit");
-  const bool resume =
-      args.getBool("--resume", "accept fragments already in --store as completed");
   const double leaseTimeout = args.getDouble(
-      "--lease-timeout", 600.0, "seconds before a silent lease is re-queued");
+      "--lease-timeout", 600.0, "seconds before a spool worker breaks a lease");
 
   if (args.helpRequested()) {
     std::cout << args.helpText("dtncache_sweep");
@@ -165,22 +156,13 @@ int runSweep(int argc, char** argv) {
   std::vector<std::string> errors = args.errors();
   if (seedCount < 1) errors.push_back("--seeds must be >= 1");
   if (jobs < 0) errors.push_back("--jobs must be >= 0");
-  const int modeCount = static_cast<int>(coordinatorMode) +
-                        static_cast<int>(!workerSpec.empty()) +
-                        static_cast<int>(spoolInitMode) +
+  const int modeCount = static_cast<int>(spoolInitMode) +
                         static_cast<int>(spoolWorkerMode) + static_cast<int>(mergeMode);
   if (modeCount > 1)
-    errors.push_back(
-        "--coordinator, --worker, --spool-init, --spool-worker and --merge are "
-        "mutually exclusive");
-  if ((coordinatorMode || spoolInitMode || spoolWorkerMode || mergeMode) &&
-      storeDir.empty())
-    errors.push_back("this mode needs --store=DIR");
+    errors.push_back("--spool-init, --spool-worker and --merge are mutually exclusive");
+  if (modeCount > 0 && storeDir.empty()) errors.push_back("this mode needs --store=DIR");
   if (!storeDir.empty() && modeCount == 0)
-    errors.push_back(
-        "--store needs a mode: --coordinator, --spool-init, --spool-worker or "
-        "--merge");
-  if (port < 0 || port > 65535) errors.push_back("--port must be 0..65535");
+    errors.push_back("--store needs a mode: --spool-init, --spool-worker or --merge");
   if (leaseTimeout <= 0.0) errors.push_back("--lease-timeout must be > 0");
 
   sweep::SweepGrid grid;
@@ -221,43 +203,6 @@ int runSweep(int argc, char** argv) {
   // Parsed before mode dispatch so a typo'd filter fails in every mode.
   const obs::KindMask traceFilter = obs::parseKindFilter(traceFilterSpec);
 
-  // Assemble a complete fragment store into the requested outputs, strictly
-  // in job-index order — the bytes a single-process run would have written.
-  const auto mergeStore = [&](const sweep::SweepManifest& manifest,
-                              std::uint64_t sweepFp) {
-    const sweep::FragmentStore store(storeDir);
-    const auto units = sweep::workUnits(sweep::expandGrid(manifest.grid));
-    std::ofstream jsonlFile, csvFile, traceFile;
-    std::ostream* jsonl = jsonlPath.empty() ? nullptr : openSink(jsonlPath, jsonlFile);
-    std::ostream* csv = csvPath.empty() ? nullptr : openSink(csvPath, csvFile);
-    std::ostream* traceOut =
-        traceOutPath.empty() ? nullptr : openSink(traceOutPath, traceFile);
-    sweep::mergeFragments(store, sweepFp, units, jsonl, csv, traceOut);
-    return units.size();
-  };
-
-  if (!workerSpec.empty()) {
-    sweep::WorkerOptions workerOptions;
-    std::string portText = workerSpec;
-    const auto colon = workerSpec.rfind(':');
-    if (colon != std::string::npos) {
-      workerOptions.host = workerSpec.substr(0, colon);
-      portText = workerSpec.substr(colon + 1);
-    }
-    if (portText.empty() ||
-        portText.find_first_not_of("0123456789") != std::string::npos) {
-      std::cerr << "error: --worker wants HOST:PORT, got '" << workerSpec << "'\n";
-      return 2;
-    }
-    workerOptions.port = static_cast<std::uint16_t>(std::stoul(portText));
-    workerOptions.quiet = quiet;
-    const auto report = sweep::runWorkerClient(workerOptions);
-    if (!quiet)
-      std::cerr << "worker: " << report.completed << " job(s) completed, "
-                << (report.sweepDone ? "sweep complete" : "coordinator gone") << "\n";
-    return 0;
-  }
-
   if (spoolWorkerMode) {
     sweep::SpoolWorkerOptions spoolOptions;
     spoolOptions.storeDir = storeDir;
@@ -271,45 +216,38 @@ int runSweep(int argc, char** argv) {
   }
 
   if (mergeMode) {
+    // Assemble a complete store into the requested outputs, strictly in
+    // job-index order — the bytes a single-process run would have written.
     const sweep::FragmentStore store(storeDir);
     const auto manifestText = store.readFile("manifest.txt");
     if (!manifestText.has_value()) {
       std::cerr << "error: no manifest.txt in " << storeDir << "\n";
       return 2;
     }
-    const auto jobCount = mergeStore(sweep::decodeManifest(*manifestText),
-                                     sweep::sweepFingerprint(*manifestText));
-    if (!quiet) std::cerr << "merge: " << jobCount << " job(s) from " << storeDir << "\n";
+    const auto units =
+        sweep::workUnits(sweep::expandGrid(sweep::decodeManifest(*manifestText).grid));
+    std::ofstream jsonlFile, csvFile, traceFile;
+    std::ostream* jsonl = jsonlPath.empty() ? nullptr : openSink(jsonlPath, jsonlFile);
+    std::ostream* csv = csvPath.empty() ? nullptr : openSink(csvPath, csvFile);
+    std::ostream* traceOut =
+        traceOutPath.empty() ? nullptr : openSink(traceOutPath, traceFile);
+    sweep::mergeFragments(store, sweep::sweepFingerprint(*manifestText), units, jsonl,
+                          csv, traceOut);
+    if (!quiet)
+      std::cerr << "merge: " << units.size() << " job(s) from " << storeDir << "\n";
     return 0;
   }
 
-  // The remaining modes (and a plain run) describe the sweep themselves.
-  sweep::SweepManifest manifest;
-  manifest.grid = grid;
-  manifest.wallClock = !noWall;
-  manifest.traceEnabled = !traceOutPath.empty();
-  manifest.traceFilter = traceFilter;
-
   if (spoolInitMode) {
+    sweep::SweepManifest manifest;
+    manifest.grid = grid;
+    manifest.wallClock = !noWall;
+    manifest.traceEnabled = !traceOutPath.empty();
+    manifest.traceFilter = traceFilter;
     const auto jobCount = sweep::spoolInit(manifest, storeDir);
     if (!quiet)
       std::cerr << "spool store " << storeDir << " ready: " << jobCount
                 << " job(s); run --spool-worker against it\n";
-    return 0;
-  }
-
-  if (coordinatorMode) {
-    sweep::CoordinatorOptions coordinatorOptions;
-    coordinatorOptions.port = static_cast<std::uint16_t>(port);
-    coordinatorOptions.storeDir = storeDir;
-    coordinatorOptions.resume = resume;
-    coordinatorOptions.leaseTimeout = leaseTimeout;
-    coordinatorOptions.quiet = quiet;
-    const auto report = sweep::runCoordinator(manifest, coordinatorOptions);
-    mergeStore(manifest, sweep::sweepFingerprint(sweep::encodeManifest(manifest)));
-    if (!quiet)
-      std::cerr << "sweep: " << report.jobsTotal << " job(s) merged from " << storeDir
-                << "\n";
     return 0;
   }
 

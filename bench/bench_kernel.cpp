@@ -438,14 +438,14 @@ Metrics benchMaintenanceTick(bool quick, int reps) {
   return m;
 }
 
-/// Distributed-sweep fan-out on loopback: a coordinator thread serves a
-/// small grid over TCP while 1, then 2, worker clients lease, run, and
-/// return jobs. End-to-end jobs/s includes the wire protocol, fragment
-/// encode + CRC, and store I/O — the per-job overhead a multi-host sweep
-/// adds over `--jobs N`. Honest caveat: both variants share this one
-/// machine's cores, so jobs_per_sec vs jobs_per_sec_1worker measures
-/// protocol headroom, not cross-host speedup — on a single busy CPU the
-/// two-worker rate can legitimately be flat.
+/// Multi-process sweep fan-out through a spool store: after spoolInit, 1,
+/// then 2, runSpoolWorker threads lease, run, and write a small grid's
+/// jobs. End-to-end jobs/s includes lease files, fragment encode + CRC,
+/// store re-scans, and the idle wait on units leased by the other worker —
+/// the per-job overhead a multi-host sweep adds over `--jobs N`. Both
+/// variants share this one machine's cores, so jobs_per_sec vs
+/// jobs_per_sec_1worker measures coordination headroom, not cross-host
+/// speedup.
 Metrics benchSweepFanout(std::size_t seedCount) {
   namespace fs = std::filesystem;
   sweep::SweepManifest manifest;
@@ -469,33 +469,21 @@ Metrics benchSweepFanout(std::size_t seedCount) {
          ("dtncache_bench_fanout_w" + std::to_string(workers))).string();
     fs::remove_all(store);
     const auto t0 = Clock::now();
-    sweep::CoordinatorReport report;
-    std::thread coordinator([&] {
-      sweep::CoordinatorOptions opts;
-      opts.storeDir = store;
-      opts.quiet = true;
-      report = sweep::runCoordinator(manifest, opts);
-    });
-    std::uint16_t port = 0;  // runCoordinator publishes it before serving
-    for (int i = 0; i < 400 && port == 0; ++i) {
-      std::ifstream in(store + "/coordinator.port");
-      int p = 0;
-      if (in >> p && p > 0 && p <= 65535) port = static_cast<std::uint16_t>(p);
-      if (port == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    DTNCACHE_CHECK(port != 0);
+    DTNCACHE_CHECK(sweep::spoolInit(manifest, store) == jobs);
+    std::vector<sweep::SpoolReport> reports(static_cast<std::size_t>(workers));
     std::vector<std::thread> pool;
-    for (int w = 0; w < workers; ++w)
-      pool.emplace_back([port] {
-        sweep::WorkerOptions wo;
-        wo.port = port;
-        wo.quiet = true;
-        sweep::runWorkerClient(wo);
+    for (auto& report : reports)
+      pool.emplace_back([&store, &report] {
+        sweep::SpoolWorkerOptions options;
+        options.storeDir = store;
+        options.quiet = true;
+        report = sweep::runSpoolWorker(options);
       });
     for (auto& t : pool) t.join();
-    coordinator.join();
     wall[workers] = secondsSince(t0);
-    DTNCACHE_CHECK(report.completed == jobs);
+    std::size_t completed = 0;
+    for (const auto& report : reports) completed += report.completed;
+    DTNCACHE_CHECK(completed == jobs);
     fs::remove_all(store);
   }
   m.set("jobs", static_cast<double>(jobs));
@@ -692,8 +680,8 @@ int main(int argc, char** argv) {
   run("estimator_snapshot", benchEstimatorSnapshot(200, 16, quick ? 500 : 2000));
   run("maintenance_tick", benchMaintenanceTick(quick, quick ? 2 : 3));
 
-  // Distributed-sweep overhead (docs/sweep.md): loopback coordinator + 1
-  // then 2 TCP worker clients over a small grid.
+  // Multi-process sweep overhead (docs/sweep.md): 1 then 2 spool workers
+  // sharing one fragment store over a small grid.
   run("sweep_fanout", benchSweepFanout(quick ? 4 : 8));
 
   // Large-N suite: the sparse pair-state backend and the streamed mobility

@@ -14,9 +14,9 @@ per run fingerprint:
     version propagated through the caching set (pushes over time, time to
     first/median/last delivery before the next bump);
   - query outcome summary (local hits, delivered replies, fresh replies);
-  - with --sweep-store DIR (no trace file needed), a distributed-sweep
-    progress readout from the fragment store: jobs completed/total from the
-    coordinator's status.jsonl counters, fragment count and bytes on disk,
+  - with --sweep-store DIR (no trace file needed), a spool-sweep progress
+    readout from the fragment store: jobs completed (fragments on disk) out
+    of the total that --spool-init wrote to status.jsonl, bytes on disk,
     throughput in jobs/s from fragment mtimes, and an ETA for the jobs
     still outstanding (see docs/sweep.md);
   - with --shard-map FILE, a shard-plan audit: per-shard node and contact
@@ -158,33 +158,27 @@ def shard_summary(events, shard_map):
 
 
 def sweep_store_summary(store_dir):
-    """Progress/throughput readout for a distributed-sweep fragment store.
+    """Progress/throughput readout for a spool-sweep fragment store.
 
-    Reads the coordinator's status.jsonl (last counters line wins — the
-    coordinator rewrites cumulative totals) for the job ledger, and the
-    frags/ directory for on-disk completion. Throughput comes from fragment
-    mtimes, so it reflects this run's pace even after a resume: resumed
-    fragments keep their old mtimes and fall out of the recent window.
+    The job total comes from the counters line --spool-init writes to
+    status.jsonl; completion comes from the frags/ directory. Throughput
+    comes from fragment mtimes, so it reflects this run's pace even after a
+    restart: fragments from earlier runs keep their old mtimes and fall out
+    of the recent window.
     """
     if not os.path.isdir(store_dir):
         raise SystemExit(f"error: sweep store {store_dir!r} is not a directory")
-    counters = {}
+    total = 0
     status_path = os.path.join(store_dir, "status.jsonl")
     try:
         with open(status_path) as f:
             for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail of a live coordinator write
+                event = json.loads(line)
                 if event.get("kind") == "counters":
-                    counters = {k: v for k, v in event.items()
-                                if k.startswith("ctr.sweep.")}
-    except OSError:
-        pass  # spool mode has no coordinator, hence no status file
+                    total = event.get("ctr.sweep.jobs_total", 0)
+    except (OSError, json.JSONDecodeError) as e:
+        raise SystemExit(f"error: cannot read {status_path} ({e}); "
+                         "is this a --spool-init store?")
 
     frags = glob.glob(os.path.join(store_dir, "frags", "*.frag"))
     frag_bytes = 0
@@ -197,25 +191,14 @@ def sweep_store_summary(store_dir):
         frag_bytes += st.st_size
         mtimes.append(st.st_mtime)
 
-    total = counters.get("ctr.sweep.jobs_total", 0)
     done = len(frags)
+    pct = 100.0 * done / total if total else 100.0
     print(f"sweep store {store_dir}:")
-    if total:
-        pct = 100.0 * done / total
-        print(f"  jobs: {done}/{total} complete ({pct:.1f}%)")
-    else:
-        print(f"  jobs: {done} fragment(s) on disk "
-              "(no coordinator status.jsonl — total unknown)")
-    for key, label in (("ctr.sweep.jobs_resumed", "resumed from store"),
-                       ("ctr.sweep.jobs_released", "leases released"),
-                       ("ctr.sweep.results_duplicate", "duplicate results"),
-                       ("ctr.sweep.fragments_invalid", "invalid fragments dropped")):
-        if counters.get(key):
-            print(f"    {label}: {counters[key]}")
+    print(f"  jobs: {done}/{total} complete ({pct:.1f}%)")
     print(f"  fragments: {done} file(s), {frag_bytes / 1024.0:.1f} KiB")
 
     # Rate over the most recent write window: fragments older than 10x the
-    # median inter-arrival gap (or a resumed store's pre-crash work) would
+    # median inter-arrival gap (or a restarted store's pre-crash work) would
     # drag the estimate; a simple span over the newest half avoids that.
     if len(mtimes) >= 2:
         recent = sorted(mtimes)[len(mtimes) // 2:]
@@ -231,7 +214,7 @@ def sweep_store_summary(store_dir):
             idle = time.time() - max(mtimes)
             if idle > 60 and 0 < done < total:
                 print(f"  WARNING: newest fragment is {idle:.0f}s old — "
-                      "workers may be stalled or dead (check leases/)")
+                      "workers may be stalled or dead (check lease-* files)")
 
 
 def freshness_timelines(events, only_item=None):
@@ -372,7 +355,7 @@ def main():
                              "node-id order): print per-shard balance and "
                              "the cross-shard contact ratio")
     parser.add_argument("--sweep-store", metavar="DIR", default=None,
-                        help="distributed-sweep fragment store: print job "
+                        help="spool-sweep fragment store: print job "
                              "progress, fragment footprint, jobs/s, and ETA")
     args = parser.parse_args()
     args.shard_map_data = (load_shard_map(args.shard_map)

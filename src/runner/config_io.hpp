@@ -35,6 +35,10 @@ ExperimentConfig loadConfig(const std::string& json);
 void applyConfigJson(ExperimentConfig& config, const std::string& json);
 
 ExperimentConfig loadConfigFile(const std::string& path);
+
+/// The `trace.model` value a dumped config spells for `model`
+/// ("community", "mobility-powerlaw", ...).
+std::string rateModelName(trace::RateModel model);
 void saveConfigFile(const ExperimentConfig& config, const std::string& path);
 
 }  // namespace dtncache::runner

@@ -1,236 +1,19 @@
 #include "sweep/distributed.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <vector>
 
-#include "core/crc32.hpp"
-#include "obs/registry.hpp"
 #include "obs/tracer.hpp"
-#include "peer/event_loop.hpp"
-#include "runner/config_io.hpp"
+#include "runner/experiment.hpp"
 #include "sim/assert.hpp"
 #include "sweep/result_sink.hpp"
 
 namespace dtncache::sweep {
-namespace {
-
-using core::putU32;
-using core::putU64;
-using core::readU32;
-using core::readU64;
-
-template <class... Ts>
-struct Overloaded : Ts... {
-  using Ts::operator()...;
-};
-template <class... Ts>
-Overloaded(Ts...) -> Overloaded<Ts...>;
-
-std::string fpHex(std::uint64_t fp) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(fp));
-  return buf;
-}
-
-}  // namespace
-
-// ---- wire -------------------------------------------------------------------
-
-SweepFrameType sweepFrameTypeOf(const SweepFrame& frame) {
-  return std::visit(
-      Overloaded{[](const WireHello&) { return SweepFrameType::kHello; },
-                 [](const WireHelloAck&) { return SweepFrameType::kHelloAck; },
-                 [](const WireLeaseRequest&) { return SweepFrameType::kLeaseRequest; },
-                 [](const WireLeaseGrant&) { return SweepFrameType::kLeaseGrant; },
-                 [](const WireNoWork&) { return SweepFrameType::kNoWork; },
-                 [](const WireResult&) { return SweepFrameType::kResult; },
-                 [](const WireResultAck&) { return SweepFrameType::kResultAck; },
-                 [](const WireBye&) { return SweepFrameType::kBye; }},
-      frame);
-}
-
-std::vector<std::uint8_t> encodeSweepFrame(const SweepFrame& frame) {
-  std::vector<std::uint8_t> payload;
-  std::visit(
-      Overloaded{
-          [&](const WireHello& f) { putU64(payload, f.sweepFp); },
-          [&](const WireHelloAck& f) {
-            payload.push_back(f.ok);
-            putU64(payload, f.sweepFp);
-            putU64(payload, f.jobsTotal);
-            putU32(payload, static_cast<std::uint32_t>(f.manifest.size()));
-            payload.insert(payload.end(), f.manifest.begin(), f.manifest.end());
-          },
-          [&](const WireLeaseRequest&) {},
-          [&](const WireLeaseGrant& f) {
-            putU64(payload, f.unit.index);
-            putU64(payload, f.unit.configFp);
-            putU64(payload, f.unit.seed);
-          },
-          [&](const WireNoWork& f) {
-            payload.push_back(f.done);
-            putU32(payload, f.retryMs);
-          },
-          [&](const WireResult& f) {
-            putU32(payload, static_cast<std::uint32_t>(f.fragment.size()));
-            payload.insert(payload.end(), f.fragment.begin(), f.fragment.end());
-          },
-          [&](const WireResultAck& f) {
-            putU64(payload, f.index);
-            payload.push_back(f.duplicate);
-          },
-          [&](const WireBye&) {}},
-      frame);
-  DTNCACHE_CHECK_MSG(payload.size() <= kSweepMaxPayloadBytes,
-                     "sweep frame payload too large");
-
-  std::vector<std::uint8_t> out;
-  out.reserve(kSweepFrameHeaderBytes + payload.size());
-  putU32(out, kSweepWireMagic);
-  out.push_back(kSweepWireVersion);
-  out.push_back(static_cast<std::uint8_t>(sweepFrameTypeOf(frame)));
-  out.push_back(0);
-  out.push_back(0);
-  putU32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-namespace {
-
-SweepDecodeResult reject(const char* why) {
-  SweepDecodeResult r;
-  r.status = SweepDecodeStatus::kReject;
-  r.error = why;
-  return r;
-}
-
-/// Bounded cursor over one frame's payload: every read checks remaining
-/// bytes, so a lying length field cannot cause an out-of-bounds read.
-struct PayloadReader {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t offset = 0;
-
-  bool u8(std::uint8_t* out) {
-    if (size - offset < 1) return false;
-    *out = data[offset++];
-    return true;
-  }
-  bool u32(std::uint32_t* out) {
-    if (size - offset < 4) return false;
-    *out = readU32(data + offset);
-    offset += 4;
-    return true;
-  }
-  bool u64(std::uint64_t* out) {
-    if (size - offset < 8) return false;
-    *out = readU64(data + offset);
-    offset += 8;
-    return true;
-  }
-  bool bytes(std::size_t n, const std::uint8_t** out) {
-    if (size - offset < n) return false;
-    *out = data + offset;
-    offset += n;
-    return true;
-  }
-  bool done() const { return offset == size; }
-};
-
-}  // namespace
-
-SweepDecodeResult decodeSweepFrame(const std::uint8_t* data, std::size_t size) {
-  SweepDecodeResult result;
-  if (size < kSweepFrameHeaderBytes) return result;  // kNeedMore
-  if (readU32(data) != kSweepWireMagic) return reject("bad magic");
-  if (data[4] != kSweepWireVersion) return reject("unsupported version");
-  if (data[6] != 0 || data[7] != 0) return reject("reserved bytes set");
-  const std::uint32_t length = readU32(data + 8);
-  if (length > kSweepMaxPayloadBytes) return reject("payload too large");
-  if (size < kSweepFrameHeaderBytes + length) return result;  // kNeedMore
-
-  PayloadReader in{data + kSweepFrameHeaderBytes, length};
-  SweepFrame frame;
-  switch (data[5]) {
-    case static_cast<std::uint8_t>(SweepFrameType::kHello): {
-      WireHello f;
-      if (!in.u64(&f.sweepFp)) return reject("truncated hello");
-      frame = f;
-      break;
-    }
-    case static_cast<std::uint8_t>(SweepFrameType::kHelloAck): {
-      WireHelloAck f;
-      std::uint32_t manifestLen = 0;
-      const std::uint8_t* text = nullptr;
-      if (!in.u8(&f.ok) || !in.u64(&f.sweepFp) || !in.u64(&f.jobsTotal) ||
-          !in.u32(&manifestLen) || !in.bytes(manifestLen, &text))
-        return reject("truncated hello-ack");
-      f.manifest.assign(reinterpret_cast<const char*>(text), manifestLen);
-      frame = std::move(f);
-      break;
-    }
-    case static_cast<std::uint8_t>(SweepFrameType::kLeaseRequest):
-      frame = WireLeaseRequest{};
-      break;
-    case static_cast<std::uint8_t>(SweepFrameType::kLeaseGrant): {
-      WireLeaseGrant f;
-      if (!in.u64(&f.unit.index) || !in.u64(&f.unit.configFp) || !in.u64(&f.unit.seed))
-        return reject("truncated lease-grant");
-      frame = f;
-      break;
-    }
-    case static_cast<std::uint8_t>(SweepFrameType::kNoWork): {
-      WireNoWork f;
-      if (!in.u8(&f.done) || !in.u32(&f.retryMs)) return reject("truncated no-work");
-      frame = f;
-      break;
-    }
-    case static_cast<std::uint8_t>(SweepFrameType::kResult): {
-      WireResult f;
-      std::uint32_t fragmentLen = 0;
-      const std::uint8_t* bytes = nullptr;
-      if (!in.u32(&fragmentLen) || !in.bytes(fragmentLen, &bytes))
-        return reject("truncated result");
-      f.fragment.assign(bytes, bytes + fragmentLen);
-      frame = std::move(f);
-      break;
-    }
-    case static_cast<std::uint8_t>(SweepFrameType::kResultAck): {
-      WireResultAck f;
-      if (!in.u64(&f.index) || !in.u8(&f.duplicate)) return reject("truncated result-ack");
-      frame = f;
-      break;
-    }
-    case static_cast<std::uint8_t>(SweepFrameType::kBye):
-      frame = WireBye{};
-      break;
-    default:
-      return reject("unknown frame type");
-  }
-  if (!in.done()) return reject("trailing payload bytes");
-
-  result.status = SweepDecodeStatus::kFrame;
-  result.consumed = kSweepFrameHeaderBytes + length;
-  result.frame = std::move(frame);
-  return result;
-}
 
 // ---- work-unit execution ----------------------------------------------------
 
@@ -273,527 +56,33 @@ Fragment runWorkUnitFragment(const SweepManifest& manifest, std::uint64_t sweepF
   return fragment;
 }
 
-// ---- status file ------------------------------------------------------------
-
-namespace {
-
-/// One peerd-style `"kind": "counters"` line, so trace_summarize.py's
-/// counters readout works unchanged on a sweep store.
-void writeStatusFile(const FragmentStore& store, std::uint64_t sweepFp,
-                     const obs::Registry& registry) {
-  std::ostringstream line;
-  line << "{\"run\": \"sweep-" << fpHex(sweepFp) << "\", \"kind\": \"counters\"";
-  for (const auto& [name, value] : registry.counterSnapshot())
-    line << ", \"ctr." << name << "\": " << value;
-  line << "}\n";
-  store.writeFile("status.jsonl", line.str());
-}
-
-/// The full progress counter set, pre-registered so status lines always
-/// carry the same columns.
-struct SweepCounters {
-  obs::Counter& total;
-  obs::Counter& completed;
-  obs::Counter& resumed;
-  obs::Counter& released;
-  obs::Counter& duplicates;
-  obs::Counter& invalid;
-
-  explicit SweepCounters(obs::Registry& registry)
-      : total(registry.counter("sweep.jobs_total")),
-        completed(registry.counter("sweep.jobs_completed")),
-        resumed(registry.counter("sweep.jobs_resumed")),
-        released(registry.counter("sweep.jobs_released")),
-        duplicates(registry.counter("sweep.results_duplicate")),
-        invalid(registry.counter("sweep.fragments_invalid")) {}
-};
-
-int setNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags < 0 ? -1 : ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void setNoDelay(int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-}  // namespace
-
-// ---- coordinator ------------------------------------------------------------
-
-CoordinatorReport runCoordinator(const SweepManifest& manifest,
-                                 const CoordinatorOptions& options) {
-  const std::string manifestText = encodeManifest(manifest);
-  const std::uint64_t sweepFp = sweepFingerprint(manifestText);
-  FragmentStore store(options.storeDir);
-  if (const auto existing = store.readFile("manifest.txt")) {
-    DTNCACHE_CHECK_MSG(*existing == manifestText,
-                       "store " << options.storeDir
-                                << " holds a different sweep (manifest mismatch); "
-                                   "use a fresh --store or the original flags");
-  } else {
-    store.writeFile("manifest.txt", manifestText);
-  }
-
-  const auto jobs = expandGrid(manifest.grid);
-  const auto units = workUnits(jobs);
-  CoordinatorReport report;
-  report.jobsTotal = units.size();
-
-  obs::Registry registry;
-  SweepCounters ctr(registry);
-  ctr.total.add(units.size());
-
-  // Job states: 0 = pending, 1 = leased, 2 = done. The resume scan fully
-  // validates every fragment (CRC + fingerprints), so a torn or bit-flipped
-  // checkpoint is dropped here and its unit re-queued.
-  std::vector<std::uint8_t> state(units.size(), 0);
-  std::set<std::uint64_t> pending;
-  {
-    const auto scanned = store.scan(sweepFp, /*dropInvalid=*/true);
-    report.invalidDropped = scanned.invalid;
-    ctr.invalid.add(scanned.invalid);
-    DTNCACHE_CHECK_MSG(scanned.valid.empty() || options.resume,
-                       "store " << options.storeDir << " already holds "
-                                << scanned.valid.size()
-                                << " fragment(s) for this sweep; pass --resume "
-                                   "to continue it");
-    for (const auto& [index, path] : scanned.valid) {
-      if (index < units.size() && state[index] == 0) {
-        state[index] = 2;
-        ++report.resumed;
-      }
-    }
-    ctr.resumed.add(report.resumed);
-  }
-  std::size_t doneCount = report.resumed;
-  for (std::uint64_t i = 0; i < units.size(); ++i)
-    if (state[i] == 0) pending.insert(i);
-
-  // Listen socket first, so the advertised port is live before any worker
-  // reads coordinator.port.
-  const int listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-  DTNCACHE_CHECK_MSG(listenFd >= 0, "socket: " << std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(options.port);
-  DTNCACHE_CHECK_MSG(::bind(listenFd, reinterpret_cast<sockaddr*>(&addr),
-                            sizeof addr) == 0 && ::listen(listenFd, 64) == 0,
-                     "cannot listen on port " << options.port << ": "
-                                              << std::strerror(errno));
-  socklen_t addrLen = sizeof addr;
-  ::getsockname(listenFd, reinterpret_cast<sockaddr*>(&addr), &addrLen);
-  report.port = ntohs(addr.sin_port);
-  setNonBlocking(listenFd);
-  store.writeFile("coordinator.port", std::to_string(report.port) + "\n");
-  writeStatusFile(store, sweepFp, registry);
-
-  if (doneCount == units.size()) {
-    // Nothing to serve (empty grid, or a resume of a finished store).
-    ::close(listenFd);
-    if (!options.quiet)
-      std::fprintf(stderr, "coordinator: store already complete (%zu job(s))\n",
-                   units.size());
-    return report;
-  }
-
-  peer::EventLoop loop;
-
-  struct Conn {
-    std::vector<std::uint8_t> in;
-    std::vector<std::uint8_t> out;
-    std::size_t outOff = 0;
-    std::set<std::uint64_t> leases;
-  };
-  std::map<int, Conn> conns;
-  std::map<std::uint64_t, std::pair<int, double>> leased;  // index -> (fd, since)
-  bool finishScheduled = false;
-  double lastStatus = 0.0;
-
-  const auto updateStatus = [&](bool force) {
-    if (!force && loop.now() - lastStatus < 1.0) return;
-    lastStatus = loop.now();
-    writeStatusFile(store, sweepFp, registry);
-    if (!options.quiet)
-      std::fprintf(stderr,
-                   "coordinator: %zu/%zu done (%zu resumed, %zu released), "
-                   "%zu worker(s)\n",
-                   doneCount, units.size(), report.resumed, report.released,
-                   conns.size());
-  };
-
-  const auto releaseLeaseOf = [&](std::uint64_t index) {
-    leased.erase(index);
-    if (state[index] == 1) {
-      state[index] = 0;
-      pending.insert(index);
-      ++report.released;
-      ctr.released.add(1);
-    }
-  };
-
-  std::function<void(int)> closeConn;
-  const auto maybeFinish = [&] {
-    if (doneCount != units.size()) return;
-    if (conns.empty()) {
-      loop.stop();
-      return;
-    }
-    if (finishScheduled) return;
-    finishScheduled = true;
-    // Idle workers learn the sweep is done on their next lease request;
-    // after a short grace, drop whoever is left (e.g. a timed-out worker
-    // still grinding a duplicate) and return.
-    loop.runAfter(1.5, [&] {
-      std::vector<int> fds;
-      fds.reserve(conns.size());
-      for (const auto& [fd, conn] : conns) fds.push_back(fd);
-      for (const int fd : fds) closeConn(fd);
-      loop.stop();
-    });
-  };
-
-  closeConn = [&](int fd) {
-    const auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    for (const std::uint64_t index : it->second.leases) {
-      const auto lit = leased.find(index);
-      if (lit != leased.end() && lit->second.first == fd) releaseLeaseOf(index);
-    }
-    loop.removeFd(fd);
-    ::close(fd);
-    conns.erase(it);
-    maybeFinish();
-  };
-
-  // Returns false on a send failure; the caller closes the connection.
-  const auto flushOut = [&](int fd, Conn& conn) {
-    while (conn.outOff < conn.out.size()) {
-      const ssize_t n = ::send(fd, conn.out.data() + conn.outOff,
-                               conn.out.size() - conn.outOff, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn.outOff += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      return false;
-    }
-    if (conn.outOff == conn.out.size()) {
-      conn.out.clear();
-      conn.outOff = 0;
-      loop.setInterest(fd, peer::kReadable);
-    } else {
-      loop.setInterest(fd, peer::kReadable | peer::kWritable);
-    }
-    return true;
-  };
-
-  const auto sendFrame = [&](int fd, Conn& conn, const SweepFrame& frame) {
-    const auto bytes = encodeSweepFrame(frame);
-    conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
-    return flushOut(fd, conn);
-  };
-
-  // Returns false when the connection should close (protocol violation or
-  // graceful bye). Never closes the connection itself.
-  const auto handleFrame = [&](int fd, Conn& conn, const SweepFrame& frame) {
-    if (const auto* hello = std::get_if<WireHello>(&frame)) {
-      const bool ok = hello->sweepFp == 0 || hello->sweepFp == sweepFp;
-      WireHelloAck ack;
-      ack.ok = ok ? 1 : 0;
-      ack.sweepFp = sweepFp;
-      ack.jobsTotal = units.size();
-      if (ok) ack.manifest = manifestText;
-      if (!sendFrame(fd, conn, std::move(ack))) return false;
-      return ok;
-    }
-    if (std::get_if<WireLeaseRequest>(&frame) != nullptr) {
-      if (doneCount == units.size())
-        return sendFrame(fd, conn, WireNoWork{1, 0});
-      if (pending.empty())
-        return sendFrame(fd, conn, WireNoWork{0, 200});
-      const std::uint64_t index = *pending.begin();
-      pending.erase(pending.begin());
-      state[index] = 1;
-      leased[index] = {fd, loop.now()};
-      conn.leases.insert(index);
-      return sendFrame(fd, conn, WireLeaseGrant{units[index]});
-    }
-    if (const auto* result = std::get_if<WireResult>(&frame)) {
-      Fragment fragment;
-      if (!decodeFragment(result->fragment.data(), result->fragment.size(),
-                          &fragment) ||
-          fragment.sweepFp != sweepFp || fragment.jobIndex >= units.size() ||
-          fragment.configFp != units[fragment.jobIndex].configFp) {
-        // TCP already guards transit; a bad fragment here means version
-        // skew or a hostile client. Re-queue whatever this conn leased.
-        ctr.invalid.add(1);
-        return false;
-      }
-      const std::uint64_t index = fragment.jobIndex;
-      conn.leases.erase(index);
-      if (state[index] == 2) {
-        ++report.duplicates;
-        ctr.duplicates.add(1);
-        return sendFrame(fd, conn, WireResultAck{index, 1});
-      }
-      store.put(fragment);
-      state[index] = 2;
-      pending.erase(index);
-      const auto lit = leased.find(index);
-      if (lit != leased.end()) {
-        // The lease may have timed out and been re-granted elsewhere; the
-        // current holder's record is cleared either way — the job is done.
-        const auto owner = conns.find(lit->second.first);
-        if (owner != conns.end()) owner->second.leases.erase(index);
-        leased.erase(lit);
-      }
-      ++doneCount;
-      ++report.completed;
-      ctr.completed.add(1);
-      if (!sendFrame(fd, conn, WireResultAck{index, 0})) return false;
-      updateStatus(false);
-      maybeFinish();
-      return true;
-    }
-    if (std::get_if<WireBye>(&frame) != nullptr) return false;
-    return false;  // a worker must never send coordinator->worker frames
-  };
-
-  std::function<void(int, std::uint32_t)> onConnEvent = [&](int fd,
-                                                            std::uint32_t events) {
-    const auto it = conns.find(fd);
-    if (it == conns.end()) return;
-    Conn& conn = it->second;
-    if ((events & peer::kError) != 0) {
-      closeConn(fd);
-      return;
-    }
-    if ((events & peer::kWritable) != 0 && !flushOut(fd, conn)) {
-      closeConn(fd);
-      return;
-    }
-    if ((events & peer::kReadable) == 0) return;
-    for (;;) {
-      std::uint8_t buf[65536];
-      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-      if (n > 0) {
-        conn.in.insert(conn.in.end(), buf, buf + n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      closeConn(fd);  // EOF or hard error
-      return;
-    }
-    std::size_t offset = 0;
-    for (;;) {
-      const auto decoded =
-          decodeSweepFrame(conn.in.data() + offset, conn.in.size() - offset);
-      if (decoded.status == SweepDecodeStatus::kNeedMore) break;
-      if (decoded.status == SweepDecodeStatus::kReject ||
-          !handleFrame(fd, conn, *decoded.frame)) {
-        closeConn(fd);
-        return;
-      }
-      offset += decoded.consumed;
-      if (loop.stopped()) break;
-    }
-    if (offset > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + offset);
-  };
-
-  loop.addFd(listenFd, peer::kReadable, [&](std::uint32_t) {
-    for (;;) {
-      const int fd = ::accept(listenFd, nullptr, nullptr);
-      if (fd < 0) break;
-      setNonBlocking(fd);
-      setNoDelay(fd);
-      conns.emplace(fd, Conn{});
-      loop.addFd(fd, peer::kReadable,
-                 [&onConnEvent, fd](std::uint32_t events) { onConnEvent(fd, events); });
-    }
-  });
-
-  // Lease-timeout backstop: a connection that vanishes releases its leases
-  // instantly (closeConn); this sweep catches the pathological case of a
-  // worker that is connected but silent.
-  std::function<void()> leaseTick = [&] {
-    if (loop.stopped()) return;
-    const double now = loop.now();
-    std::vector<std::uint64_t> expired;
-    for (const auto& [index, info] : leased)
-      if (now - info.second > options.leaseTimeout) expired.push_back(index);
-    for (const std::uint64_t index : expired) {
-      const auto lit = leased.find(index);
-      if (lit == leased.end()) continue;
-      const auto owner = conns.find(lit->second.first);
-      if (owner != conns.end()) owner->second.leases.erase(index);
-      releaseLeaseOf(index);
-    }
-    updateStatus(false);
-    loop.runAfter(std::max(0.25, options.leaseTimeout / 4.0), leaseTick);
-  };
-  loop.runAfter(std::max(0.25, options.leaseTimeout / 4.0), leaseTick);
-
-  loop.run();
-
-  for (const auto& [fd, conn] : conns) ::close(fd);
-  conns.clear();
-  ::close(listenFd);
-  writeStatusFile(store, sweepFp, registry);
-  if (!options.quiet)
-    std::fprintf(stderr,
-                 "coordinator: sweep complete — %zu job(s): %zu run, %zu resumed "
-                 "(%zu lease(s) re-queued, %zu duplicate result(s), %zu corrupt "
-                 "fragment(s) dropped)\n",
-                 units.size(), report.completed, report.resumed, report.released,
-                 report.duplicates, report.invalidDropped);
-  return report;
-}
-
-// ---- TCP worker -------------------------------------------------------------
-
-namespace {
-
-/// Blocking framed connection for the worker side: the worker's state
-/// machine is strictly send-then-wait, so a reactor buys nothing.
-class BlockingConn {
- public:
-  ~BlockingConn() { close(); }
-
-  bool connectTo(const std::string& host, std::uint16_t port, double timeoutSeconds) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::duration<double>(timeoutSeconds);
-    for (;;) {
-      fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd_ >= 0) {
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1 &&
-            ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
-          setNoDelay(fd_);
-          return true;
-        }
-        close();
-      }
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  }
-
-  bool sendFrame(const SweepFrame& frame) {
-    const auto bytes = encodeSweepFrame(frame);
-    std::size_t done = 0;
-    while (done < bytes.size()) {
-      const ssize_t n =
-          ::send(fd_, bytes.data() + done, bytes.size() - done, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      done += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Next frame, or nullopt on EOF/error/reject (connection unusable).
-  std::optional<SweepFrame> recvFrame() {
-    for (;;) {
-      const auto decoded = decodeSweepFrame(in_.data(), in_.size());
-      if (decoded.status == SweepDecodeStatus::kReject) return std::nullopt;
-      if (decoded.status == SweepDecodeStatus::kFrame) {
-        in_.erase(in_.begin(), in_.begin() + static_cast<long>(decoded.consumed));
-        return decoded.frame;
-      }
-      std::uint8_t buf[65536];
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return std::nullopt;
-      in_.insert(in_.end(), buf, buf + n);
-    }
-  }
-
-  void close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
- private:
-  int fd_ = -1;
-  std::vector<std::uint8_t> in_;
-};
-
-}  // namespace
-
-WorkerReport runWorkerClient(const WorkerOptions& options) {
-  WorkerReport report;
-  BlockingConn conn;
-  DTNCACHE_CHECK_MSG(conn.connectTo(options.host, options.port, options.connectTimeout),
-                     "cannot connect to coordinator " << options.host << ":"
-                                                      << options.port);
-  if (!conn.sendFrame(WireHello{0})) return report;
-  const auto ackFrame = conn.recvFrame();
-  if (!ackFrame.has_value()) return report;  // coordinator already gone
-  const auto* ack = std::get_if<WireHelloAck>(&*ackFrame);
-  DTNCACHE_CHECK_MSG(ack != nullptr, "protocol error: expected hello-ack");
-  DTNCACHE_CHECK_MSG(ack->ok != 0, "coordinator rejected hello (different sweep)");
-  DTNCACHE_CHECK_MSG(sweepFingerprint(ack->manifest) == ack->sweepFp,
-                     "manifest does not hash to the advertised sweep fingerprint");
-
-  const SweepManifest manifest = decodeManifest(ack->manifest);
-  const auto jobs = expandGrid(manifest.grid);
-  DTNCACHE_CHECK_MSG(jobs.size() == ack->jobsTotal,
-                     "grid expands to " << jobs.size() << " jobs here but "
-                                        << ack->jobsTotal
-                                        << " at the coordinator (version skew)");
-
-  for (;;) {
-    if (!conn.sendFrame(WireLeaseRequest{})) return report;
-    const auto response = conn.recvFrame();
-    if (!response.has_value()) return report;
-    if (const auto* grant = std::get_if<WireLeaseGrant>(&*response)) {
-      DTNCACHE_CHECK_MSG(grant->unit.index < jobs.size(),
-                         "lease for job " << grant->unit.index
-                                          << " outside the expanded grid");
-      const SweepJob& job = jobs[grant->unit.index];
-      DTNCACHE_CHECK_MSG(
-          configFingerprintU64(job.config) == grant->unit.configFp,
-          "job " << grant->unit.index
-                 << " config fingerprint mismatch — worker and coordinator "
-                    "expanded different grids (version skew)");
-      const Fragment fragment =
-          runWorkUnitFragment(manifest, ack->sweepFp, job);
-      if (!conn.sendFrame(WireResult{encodeFragment(fragment)})) return report;
-      const auto resultAck = conn.recvFrame();
-      if (!resultAck.has_value()) return report;
-      const auto* acked = std::get_if<WireResultAck>(&*resultAck);
-      DTNCACHE_CHECK_MSG(acked != nullptr && acked->index == grant->unit.index,
-                         "protocol error: expected result-ack for job "
-                             << grant->unit.index);
-      ++report.completed;
-      if (!options.quiet)
-        std::fprintf(stderr, "worker: job %llu done%s\n",
-                     static_cast<unsigned long long>(grant->unit.index),
-                     acked->duplicate != 0 ? " (duplicate, discarded)" : "");
-    } else if (const auto* noWork = std::get_if<WireNoWork>(&*response)) {
-      if (noWork->done != 0) {
-        conn.sendFrame(WireBye{});
-        report.sweepDone = true;
-        return report;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          noWork->retryMs == 0 ? 200 : noWork->retryMs));
-    } else {
-      DTNCACHE_CHECK_MSG(false, "protocol error: unexpected frame from coordinator");
-    }
-  }
-}
-
 // ---- spool worker -----------------------------------------------------------
+
+namespace {
+
+/// Idle poll period while every incomplete unit is leased elsewhere. A
+/// tick costs one stat(2) per awaited lease, not a store re-scan, so it can
+/// be short enough that a worker wakes promptly when a unit frees up.
+constexpr auto kIdlePoll = std::chrono::milliseconds(2);
+
+/// Sleep until one of `leased`'s lease files is gone or stale. A gone lease
+/// means its unit completed or was given up — a holder renames its fragment
+/// into place before releasing — so these names alone say when a re-scan
+/// can find new work.
+void awaitLeases(const FragmentStore& store, const std::vector<std::uint64_t>& leased,
+                 double leaseTimeout) {
+  const auto anyFreed = [&] {
+    for (const std::uint64_t index : leased) {
+      const auto age = store.leaseAge(index);
+      if (!age.has_value() || *age >= leaseTimeout) return true;
+    }
+    return false;
+  };
+  do std::this_thread::sleep_for(kIdlePoll);
+  while (!leased.empty() && !anyFreed());
+}
+
+}  // namespace
 
 std::size_t spoolInit(const SweepManifest& manifest, const std::string& storeDir) {
   FragmentStore store(storeDir);
@@ -806,10 +95,15 @@ std::size_t spoolInit(const SweepManifest& manifest, const std::string& storeDir
     store.writeFile("manifest.txt", manifestText);
   }
   const auto jobs = expandGrid(manifest.grid);
-  obs::Registry registry;
-  SweepCounters ctr(registry);
-  ctr.total.add(jobs.size());
-  writeStatusFile(store, sweepFingerprint(manifestText), registry);
+  // One peerd-style `"kind": "counters"` line, so trace_summarize.py's
+  // --sweep-store readout knows the job total.
+  char fp[17];
+  std::snprintf(fp, sizeof fp, "%016llx",
+                static_cast<unsigned long long>(sweepFingerprint(manifestText)));
+  store.writeFile("status.jsonl", std::string("{\"run\": \"sweep-") + fp +
+                                      "\", \"kind\": \"counters\", "
+                                      "\"ctr.sweep.jobs_total\": " +
+                                      std::to_string(jobs.size()) + "}\n");
   return jobs.size();
 }
 
@@ -825,6 +119,7 @@ SpoolReport runSpoolWorker(const SpoolWorkerOptions& options) {
   const auto units = workUnits(jobs);
 
   SpoolReport report;
+  std::vector<std::uint64_t> leasedElsewhere;
   for (;;) {
     // Re-scan each pass: other workers complete units concurrently, and the
     // scan also drops any torn fragment a killed worker left behind.
@@ -834,13 +129,20 @@ SpoolReport runSpoolWorker(const SpoolWorkerOptions& options) {
       return report;
     }
     bool progressed = false;
+    leasedElsewhere.clear();
     for (const auto& unit : units) {
       if (scanned.valid.count(unit.index) != 0) continue;
       if (const auto age = store.leaseAge(unit.index)) {
-        if (*age < options.leaseTimeout) continue;  // someone is (probably) on it
-        store.releaseLease(unit.index);             // stale: the holder died
+        if (*age < options.leaseTimeout) {  // someone is (probably) on it
+          leasedElsewhere.push_back(unit.index);
+          continue;
+        }
+        store.releaseLease(unit.index);  // stale: the holder died
       }
-      if (!store.tryLease(unit.index)) continue;  // lost the race
+      if (!store.tryLease(unit.index)) {  // lost the race
+        leasedElsewhere.push_back(unit.index);
+        continue;
+      }
       if (store.hasFragment(unit.index)) {
         // Completed by another worker between our scan and the lease. A
         // writer releases its lease only after the fragment rename, so this
@@ -861,8 +163,7 @@ SpoolReport runSpoolWorker(const SpoolWorkerOptions& options) {
         std::fprintf(stderr, "spool-worker: job %llu done\n",
                      static_cast<unsigned long long>(unit.index));
     }
-    if (!progressed)  // every incomplete unit is leased elsewhere; wait a beat
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    if (!progressed) awaitLeases(store, leasedElsewhere, options.leaseTimeout);
   }
 }
 

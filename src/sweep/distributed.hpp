@@ -1,128 +1,21 @@
 #pragma once
 
 /// \file distributed.hpp
-/// The distributed sweep: coordinator/worker fan-out over TCP, plus a
-/// connectionless shared-directory spool mode. Both feed the same
-/// FragmentStore, so however the jobs ran — one process, many processes,
-/// many hosts, crashed and resumed — the merge pass produces bytes
-/// identical to a single-process `--jobs N` sweep.
-///
-/// Wire protocol (little-endian, peer::wire-style framing with its own
-/// magic so a misdirected peerd stream is rejected at the first header):
-///
-///     magic   u32  0x574E5444 ("DTNW")
-///     version u8   kSweepWireVersion
-///     type    u8   SweepFrameType
-///     reserved u16 must be zero
-///     length  u32  payload bytes (<= kSweepMaxPayloadBytes)
-///
-/// Conversation (strict request/response, worker drives):
-///
-///     worker                      coordinator
-///     Hello{sweepFp?}         ->
-///                             <-  HelloAck{ok, sweepFp, jobsTotal, manifest}
-///     LeaseRequest            ->
-///                             <-  LeaseGrant{unit} | NoWork{done, retryMs}
-///     Result{fragment bytes}  ->
-///                             <-  ResultAck{index, duplicate}
-///     Bye                     ->   (worker closes)
-///
-/// The manifest travels in the HelloAck, so a worker needs nothing but the
-/// coordinator address: it re-expands the grid locally and cross-checks
-/// every leased unit's config fingerprint before running it. Leases return
-/// to the pending queue the moment a connection drops (and, as a backstop,
-/// after `leaseTimeout` without a result), so `kill -9` on a worker loses
-/// at most its in-flight job. Results are idempotent: a duplicate (from a
-/// timed-out-but-alive worker) is acked and discarded — deterministic
-/// output means the bytes match what the store already holds.
-///
-/// decodeSweepFrame is fuzz-friendly by the same contract as
-/// peer::decodeFrame: any byte sequence yields kNeedMore, a frame, or
-/// kReject — never a throw or an out-of-bounds read.
+/// The multi-process sweep: a shared-directory spool. `spoolInit` writes
+/// the manifest into a FragmentStore; any number of `runSpoolWorker`
+/// processes, on any hosts that mount the store, lease units through
+/// exclusive `lease-<index>` files, run them, and write fragments; then
+/// mergeFragments assembles the outputs. However the jobs ran — one
+/// process, many processes, many hosts, crashed and re-run — the merge
+/// produces bytes identical to a single-process `--jobs N` sweep.
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <variant>
-#include <vector>
 
 #include "sweep/fragment_store.hpp"
 #include "sweep/work_unit.hpp"
 
 namespace dtncache::sweep {
-
-inline constexpr std::uint32_t kSweepWireMagic = 0x574E5444u;  // "DTNW"
-inline constexpr std::uint8_t kSweepWireVersion = 1;
-inline constexpr std::size_t kSweepFrameHeaderBytes = 12;
-/// Fragments carry rendered rows plus an optional trace slice; cap frames
-/// well above any real slice but low enough that a corrupt length prefix
-/// cannot drive allocation.
-inline constexpr std::uint32_t kSweepMaxPayloadBytes = 256u * 1024 * 1024;
-
-enum class SweepFrameType : std::uint8_t {
-  kHello = 1,
-  kHelloAck = 2,
-  kLeaseRequest = 3,
-  kLeaseGrant = 4,
-  kNoWork = 5,
-  kResult = 6,
-  kResultAck = 7,
-  kBye = 8,
-};
-
-/// Worker -> coordinator greeting. `sweepFp` 0 = unknown (manifest comes
-/// back in the ack); nonzero = must match or the ack carries ok = 0.
-struct WireHello {
-  std::uint64_t sweepFp = 0;
-};
-
-struct WireHelloAck {
-  std::uint8_t ok = 0;  ///< 0 = fingerprint mismatch, close the session
-  std::uint64_t sweepFp = 0;
-  std::uint64_t jobsTotal = 0;
-  std::string manifest;  ///< canonical manifest text (empty when !ok)
-};
-
-struct WireLeaseRequest {};
-
-struct WireLeaseGrant {
-  WorkUnit unit;
-};
-
-struct WireNoWork {
-  std::uint8_t done = 0;      ///< 1 = sweep complete, send Bye and exit
-  std::uint32_t retryMs = 0;  ///< done == 0: everything leased, ask again
-};
-
-struct WireResult {
-  std::vector<std::uint8_t> fragment;  ///< encodeFragment bytes
-};
-
-struct WireResultAck {
-  std::uint64_t index = 0;
-  std::uint8_t duplicate = 0;  ///< job was already complete; bytes discarded
-};
-
-struct WireBye {};
-
-using SweepFrame = std::variant<WireHello, WireHelloAck, WireLeaseRequest,
-                                WireLeaseGrant, WireNoWork, WireResult,
-                                WireResultAck, WireBye>;
-
-SweepFrameType sweepFrameTypeOf(const SweepFrame& frame);
-
-std::vector<std::uint8_t> encodeSweepFrame(const SweepFrame& frame);
-
-enum class SweepDecodeStatus : std::uint8_t { kNeedMore, kFrame, kReject };
-
-struct SweepDecodeResult {
-  SweepDecodeStatus status = SweepDecodeStatus::kNeedMore;
-  std::size_t consumed = 0;
-  std::optional<SweepFrame> frame;
-  const char* error = nullptr;  ///< kReject only (static string)
-};
-
-SweepDecodeResult decodeSweepFrame(const std::uint8_t* data, std::size_t size);
 
 /// Run one work unit exactly as SweepEngine would — same tracer labeling,
 /// same job start/done events, same field rendering — and package the
@@ -131,55 +24,6 @@ SweepDecodeResult decodeSweepFrame(const std::uint8_t* data, std::size_t size);
 /// would have streamed for this job.
 Fragment runWorkUnitFragment(const SweepManifest& manifest, std::uint64_t sweepFp,
                              const SweepJob& job);
-
-// ---- coordinator ------------------------------------------------------------
-
-struct CoordinatorOptions {
-  std::uint16_t port = 0;  ///< 0 = kernel-assigned; see coordinator.port file
-  std::string storeDir;
-  bool resume = false;       ///< accept pre-existing fragments as completed
-  double leaseTimeout = 600.0;  ///< seconds before a silent lease re-queues
-  bool quiet = false;
-};
-
-struct CoordinatorReport {
-  std::uint16_t port = 0;
-  std::size_t jobsTotal = 0;
-  std::size_t completed = 0;  ///< fragments written this run
-  std::size_t resumed = 0;    ///< valid fragments found by the resume scan
-  std::size_t released = 0;   ///< leases re-queued (disconnect or timeout)
-  std::size_t duplicates = 0;
-  std::size_t invalidDropped = 0;  ///< corrupt fragments deleted on scan
-};
-
-/// Serve the sweep until every work unit has a fragment. Writes
-/// `manifest.txt`, `coordinator.port`, and periodic `status.jsonl` into the
-/// store; returns once the store is complete. Does not merge — call
-/// mergeFragments (the CLI does both).
-CoordinatorReport runCoordinator(const SweepManifest& manifest,
-                                 const CoordinatorOptions& options);
-
-// ---- TCP worker -------------------------------------------------------------
-
-struct WorkerOptions {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  double connectTimeout = 20.0;  ///< seconds of connect retries before giving up
-  bool quiet = false;
-};
-
-struct WorkerReport {
-  std::size_t completed = 0;
-  /// True when the coordinator said the sweep is complete. False means the
-  /// connection was lost — normally the coordinator finishing while this
-  /// worker idled, but the caller cannot distinguish a crash, so scripts
-  /// should trust the coordinator's exit status, not the workers'.
-  bool sweepDone = false;
-};
-
-WorkerReport runWorkerClient(const WorkerOptions& options);
-
-// ---- spool worker (shared directory, no connectivity) -----------------------
 
 struct SpoolWorkerOptions {
   std::string storeDir;
@@ -198,8 +42,11 @@ struct SpoolReport {
 
 /// Lease-loop over `<store>/lease-*` files: pick an unleased incomplete
 /// unit, run it, write the fragment, release. Stale leases (older than
-/// leaseTimeout) are broken. Returns when the store is complete (or the
-/// crash hook fired).
+/// leaseTimeout) are broken. When every incomplete unit is leased
+/// elsewhere, polls just those lease files until one is released or goes
+/// stale. Valid fragments are never re-run, so running workers against a
+/// partly complete store is the resume. Returns when the store is complete
+/// (or the crash hook fired).
 SpoolReport runSpoolWorker(const SpoolWorkerOptions& options);
 
 /// Initialize a spool store: write the manifest + an initial status line so

@@ -3,13 +3,13 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <iterator>
 #include <ostream>
@@ -246,8 +246,15 @@ std::string FragmentStore::leasePath(std::uint64_t index) const {
 }
 
 bool FragmentStore::tryLease(std::uint64_t index) const {
-  const int fd = ::open(leasePath(index).c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd < 0) return false;
+  const std::string path = leasePath(index);
+  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+  if (fd < 0) {
+    // Anything but "already held" (a read-only or vanished store) would
+    // otherwise look like a lease lost forever and hang the worker.
+    DTNCACHE_CHECK_MSG(errno == EEXIST,
+                       "cannot create " << path << ": " << std::strerror(errno));
+    return false;
+  }
   ::close(fd);
   return true;
 }
@@ -255,10 +262,14 @@ bool FragmentStore::tryLease(std::uint64_t index) const {
 std::optional<double> FragmentStore::leaseAge(std::uint64_t index) const {
   struct stat st{};
   if (::stat(leasePath(index).c_str(), &st) != 0) return std::nullopt;
-  struct timeval now{};
-  ::gettimeofday(&now, nullptr);
-  const double mtime = static_cast<double>(st.st_mtime);
-  return std::max(0.0, static_cast<double>(now.tv_sec) - mtime);
+  // Nanosecond fields on both sides: whole-second mtimes would make a lease
+  // taken a moment ago read as up to 1 s old.
+  struct timespec now{};
+  ::clock_gettime(CLOCK_REALTIME, &now);
+  const double age =
+      static_cast<double>(now.tv_sec - st.st_mtim.tv_sec) +
+      1e-9 * static_cast<double>(now.tv_nsec - st.st_mtim.tv_nsec);
+  return std::max(0.0, age);
 }
 
 void FragmentStore::releaseLease(std::uint64_t index) const {

@@ -9,7 +9,7 @@
 /// fixed header carrying the job index and the sweep/config fingerprints,
 /// then `bodyLen | bodyCrc | body`. A torn write, a truncated file, or a
 /// flipped bit fails the CRC (or the header sanity checks) and the
-/// fragment simply does not count — resume re-queues the unit.
+/// fragment simply does not count — the next spool pass re-runs the unit.
 ///
 /// Fragments live in `<store>/frags/job-<index>-<bodycrc>.frag` and are
 /// written via temp-file + rename, so a reader never sees a half fragment
@@ -19,8 +19,8 @@
 ///
 /// The store root also holds `manifest.txt` (the sweep's identity, see
 /// work_unit.hpp), `status.jsonl` (a counters line the trace tooling can
-/// read), and `lease-<index>` marker files used by the connectionless
-/// spool mode (O_EXCL creation = lease acquisition; age = staleness).
+/// read), and `lease-<index>` marker files used by spool workers (O_EXCL
+/// creation = lease acquisition; age = staleness).
 
 #include <cstdint>
 #include <iosfwd>
@@ -97,10 +97,11 @@ class FragmentStore {
   // -- spool-mode leases ------------------------------------------------------
 
   /// O_EXCL-create `<dir>/lease-<index>`. True if this process now holds
-  /// the lease.
+  /// the lease, false if another does; throws if the file cannot be made.
   bool tryLease(std::uint64_t index) const;
 
-  /// Age of the lease file in seconds (mtime-based); nullopt if absent.
+  /// Age of the lease file in seconds, from its mtime at sub-second
+  /// precision; nullopt if absent.
   std::optional<double> leaseAge(std::uint64_t index) const;
 
   /// Remove the lease marker (idempotent).

@@ -68,8 +68,8 @@ std::uint64_t fnv1a64(const std::string& text);
 /// of a run. Two jobs with the same fingerprint ran the same experiment.
 std::string configFingerprint(const runner::ExperimentConfig& config);
 
-/// Same identity as a raw 64-bit value (what wire frames and fragment
-/// headers carry; configFingerprint is this rendered as 16 hex digits).
+/// Same identity as a raw 64-bit value (what fragment headers carry;
+/// configFingerprint is this rendered as 16 hex digits).
 std::uint64_t configFingerprintU64(const runner::ExperimentConfig& config);
 
 struct JobResult {

@@ -3,23 +3,22 @@
 /// \file work_unit.hpp
 /// Self-describing work units: the serialized identity of a sweep.
 ///
-/// A distributed sweep must guarantee that every participating process —
-/// coordinator, TCP workers, spool-dir workers, the merge pass — expands
-/// the *same* grid to the *same* job list, whatever host or binary invoked
-/// it. The SweepManifest is that contract: a canonical text rendering of
-/// the grid (base config via runner::dumpConfig, scheme/seed/axis lists)
-/// plus the output-shaping switches that affect result bytes (wall-clock
-/// fields, tracing, trace filter). Its FNV-1a hash — the sweep fingerprint
-/// — names the sweep; every wire hello, fragment header, and resume scan
-/// checks it, so a worker from a different grid (or a stale store) is
-/// rejected before it can contribute a byte.
+/// A multi-process sweep must guarantee that every participating process —
+/// spool workers on any host, the merge pass — expands the *same* grid to
+/// the *same* job list, whatever host or binary invoked it. The
+/// SweepManifest is that contract: a canonical text rendering of the grid
+/// (base config via runner::dumpConfig, scheme/seed/axis lists) plus the
+/// output-shaping switches that affect result bytes (wall-clock fields,
+/// tracing, trace filter). Its FNV-1a hash — the sweep fingerprint — names
+/// the sweep; every fragment header and store scan checks it, so a worker
+/// from a different grid (or a stale store) cannot contribute a byte.
 ///
 /// Work units themselves are (job index, config fingerprint, seed)
 /// triples derived from the expanded grid. The config fingerprint pins the
-/// exact experiment a lease refers to: a worker that expands to a
-/// different config at the same index (version skew, axis drift) detects
-/// the mismatch and aborts instead of producing a plausible-looking but
-/// wrong fragment.
+/// exact experiment a fragment holds: when a worker expanded a different
+/// config at the same index (version skew, axis drift), the merge detects
+/// the mismatch and aborts instead of emitting a plausible-looking but
+/// wrong row.
 
 #include <cstdint>
 #include <string>
@@ -52,7 +51,7 @@ SweepManifest decodeManifest(const std::string& text);
 /// FNV-1a 64 over the manifest text: the identity of the whole sweep.
 std::uint64_t sweepFingerprint(const std::string& manifestText);
 
-/// One leaseable unit of work, as referenced on the wire and in fragment
+/// One leaseable unit of work, as referenced by lease files and fragment
 /// headers.
 struct WorkUnit {
   std::uint64_t index = 0;     ///< position in the expanded grid

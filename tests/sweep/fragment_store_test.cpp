@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
+#include <chrono>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "sim/assert.hpp"
 #include "sweep/distributed.hpp"
@@ -157,6 +163,28 @@ TEST(FragmentStoreTest, LeasesAreExclusive) {
   store.releaseLease(5);
   EXPECT_FALSE(store.leaseAge(5).has_value());
   EXPECT_TRUE(store.tryLease(5));  // reacquirable after release
+}
+
+TEST(FragmentStoreTest, FreshLeaseStaysUnbrokenUnderOneSecondTimeout) {
+  FragmentStore store(tempStore("lease_age"));
+  ASSERT_TRUE(store.tryLease(7));
+  // Backdate the lease into the previous wall-clock second while keeping it
+  // well under 1 s old: whole-second arithmetic reads that as 1 s, which a
+  // --lease-timeout=1 spool worker would break.
+  timespec now{};
+  for (;;) {
+    ::clock_gettime(CLOCK_REALTIME, &now);
+    if (now.tv_nsec < 500'000'000) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const timespec mtime{now.tv_sec - 1, 800'000'000};  // 0.2-0.7 s ago
+  const timespec times[2] = {mtime, mtime};
+  ASSERT_EQ(::utimensat(AT_FDCWD, (store.dir() + "/lease-7").c_str(), times, 0), 0);
+
+  const auto age = store.leaseAge(7);
+  ASSERT_TRUE(age.has_value());
+  EXPECT_GT(*age, 0.1);
+  EXPECT_LT(*age, 1.0);  // the spool worker breaks a lease at age >= timeout
 }
 
 /// The core byte-identity property at the unit level: fragments produced by
