@@ -5,7 +5,8 @@
 /// file or a trace preset), runs the grid on a thread pool, and emits one
 /// JSONL record per run plus a CSV summary — deterministically ordered, so
 /// `--jobs 8` output is byte-identical to `--jobs 1` apart from wall-clock
-/// fields. Progress/ETA goes to stderr.
+/// fields. Progress/ETA and a closing trace-memo line ("sweep: trace memo:
+/// G generated, R reused") go to stderr, never into the result files.
 ///
 /// Examples:
 ///   dtncache_sweep --trace=infocom --schemes=all --seeds=5 --csv=-
@@ -38,6 +39,7 @@
 #include "sweep/result_sink.hpp"
 #include "sweep/work_unit.hpp"
 #include "trace/mobility.hpp"
+#include "trace/trace_cache.hpp"
 #include "sweep/sweep_engine.hpp"
 #include "sweep/thread_pool.hpp"
 
@@ -105,6 +107,14 @@ std::ostream* openSink(const std::string& path, std::ofstream& file) {
     std::exit(2);
   }
   return &file;
+}
+
+/// How often the trace memo generated vs reused a trace in this process.
+/// Stderr only: the counts depend on the worker count and timing.
+void printTraceMemo() {
+  const trace::TraceCacheStats memo = trace::traceCacheStats();
+  std::cerr << "sweep: trace memo: " << memo.misses << " generated, " << memo.hits
+            << " reused\n";
 }
 
 int runSweep(int argc, char** argv) {
@@ -209,9 +219,11 @@ int runSweep(int argc, char** argv) {
     spoolOptions.leaseTimeout = leaseTimeout;
     spoolOptions.quiet = quiet;
     const auto report = sweep::runSpoolWorker(spoolOptions);
-    if (!quiet)
+    if (!quiet) {
       std::cerr << "spool-worker: " << report.completed << " job(s) completed"
                 << (report.allDone ? ", store complete" : "") << "\n";
+      printTraceMemo();
+    }
     return 0;
   }
 
@@ -296,6 +308,7 @@ int runSweep(int argc, char** argv) {
                             : static_cast<std::size_t>(jobs))
               << " worker(s), total simulated work "
               << static_cast<long>(wall * 1000.0) << " ms\n";
+    printTraceMemo();
   }
   return 0;
 }

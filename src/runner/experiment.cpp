@@ -60,10 +60,15 @@ void preregisterObservables(obs::Registry& registry) {
 
 }  // namespace
 
-ExperimentOutput runExperiment(const ExperimentConfig& config) {
-  // --- traces ---------------------------------------------------------------
+trace::SyntheticTraceConfig worldTraceConfig(const ExperimentConfig& config) {
   trace::SyntheticTraceConfig traceCfg = config.trace;
   traceCfg.seed = traceCfg.seed * 1000003 + config.seed;
+  return traceCfg;
+}
+
+ExperimentOutput runExperiment(const ExperimentConfig& config) {
+  // --- traces ---------------------------------------------------------------
+  const trace::SyntheticTraceConfig traceCfg = worldTraceConfig(config);
   std::shared_ptr<const trace::SyntheticTrace> worldShared;
   sim::SimTime horizon = 0.0;
   if (config.externalTrace != nullptr) {

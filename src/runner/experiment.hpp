@@ -159,6 +159,13 @@ struct ExperimentOutput {
 
 ExperimentOutput runExperiment(const ExperimentConfig& config);
 
+/// The synthetic world trace runExperiment replays: `config.trace` with the
+/// master seed mixed into its seed. The warm-up trace derives from it, so
+/// jobs with equal world trace configs share both generated traces (sweeps
+/// group their dispatch by it). Ignored by runExperiment when
+/// `externalTrace` is set.
+trace::SyntheticTraceConfig worldTraceConfig(const ExperimentConfig& config);
+
 /// Convenience: same config, each scheme in `schemes` (default all).
 std::vector<ExperimentOutput> runSchemeComparison(ExperimentConfig config,
                                                   std::vector<SchemeKind> schemes = {});

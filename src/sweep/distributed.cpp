@@ -117,6 +117,9 @@ SpoolReport runSpoolWorker(const SpoolWorkerOptions& options) {
   const SweepManifest manifest = decodeManifest(*manifestText);
   const auto jobs = expandGrid(manifest.grid);
   const auto units = workUnits(jobs);
+  // Visit units grouped by trace, like SweepEngine's dispatch, so this
+  // process generates each trace once; the merge restores job-index order.
+  const auto order = traceGroupedOrder(jobs);
 
   SpoolReport report;
   std::vector<std::uint64_t> leasedElsewhere;
@@ -130,7 +133,8 @@ SpoolReport runSpoolWorker(const SpoolWorkerOptions& options) {
     }
     bool progressed = false;
     leasedElsewhere.clear();
-    for (const auto& unit : units) {
+    for (const std::size_t position : order) {
+      const WorkUnit& unit = units[position];
       if (scanned.valid.count(unit.index) != 0) continue;
       if (const auto age = store.leaseAge(unit.index)) {
         if (*age < options.leaseTimeout) {  // someone is (probably) on it

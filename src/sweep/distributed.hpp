@@ -41,7 +41,8 @@ struct SpoolReport {
 };
 
 /// Lease-loop over `<store>/lease-*` files: pick an unleased incomplete
-/// unit, run it, write the fragment, release. Stale leases (older than
+/// unit (visited in traceGroupedOrder, so one worker generates each trace
+/// once), run it, write the fragment, release. Stale leases (older than
 /// leaseTimeout) are broken. When every incomplete unit is leased
 /// elsewhere, polls just those lease files until one is released or goes
 /// stale. Valid fragments are never re-run, so running workers against a

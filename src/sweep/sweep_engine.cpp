@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <future>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "obs/tracer.hpp"
@@ -117,6 +119,20 @@ std::vector<SweepJob> expandGrid(const SweepGrid& grid) {
   }
 }
 
+std::vector<std::size_t> traceGroupedOrder(const std::vector<SweepJob>& jobs) {
+  std::map<trace::SyntheticTraceConfig, std::size_t> groupOfTrace;
+  std::vector<std::size_t> group(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    group[i] = groupOfTrace.try_emplace(runner::worldTraceConfig(jobs[i].config),
+                                        groupOfTrace.size())
+                   .first->second;
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&group](std::size_t a, std::size_t b) { return group[a] < group[b]; });
+  return order;
+}
+
 std::vector<JobResult> SweepEngine::run(const SweepGrid& grid,
                                         const std::vector<ResultSink*>& sinks) {
   return runJobs(expandGrid(grid), sinks);
@@ -148,10 +164,10 @@ std::vector<JobResult> SweepEngine::runJobs(std::vector<SweepJob> jobs,
     std::atomic<std::size_t> completed{0};
     const auto start = Clock::now();
     ThreadPool pool(workers);
-    std::vector<std::future<std::pair<runner::ExperimentOutput, double>>> futures;
-    futures.reserve(jobs.size());
-    for (const SweepJob& job : jobs) {  // stable storage: jobs is not resized below
-      futures.push_back(pool.submit([&job, &completed] {
+    std::vector<std::future<std::pair<runner::ExperimentOutput, double>>> futures(jobs.size());
+    for (const std::size_t i : traceGroupedOrder(jobs)) {
+      const SweepJob& job = jobs[i];  // stable storage: jobs is not resized below
+      futures[i] = pool.submit([&job, &completed] {
         DTNCACHE_EVENT(job.config.tracer, obs::EventKind::kJobStart, 0.0,
                        {"job", job.index},
                        {"scheme", runner::schemeName(job.config.scheme)},
@@ -163,7 +179,7 @@ std::vector<JobResult> SweepEngine::runJobs(std::vector<SweepJob> jobs,
                        output.traceStats.duration, {"job", job.index});
         completed.fetch_add(1, std::memory_order_relaxed);
         return std::pair{std::move(output), wall};
-      }));
+      });
     }
 
     // Aggregation: strictly job-index order, whatever order workers finish

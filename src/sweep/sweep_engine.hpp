@@ -16,6 +16,11 @@
 /// engine hands results to sinks in job-index order regardless of worker
 /// count or completion order. A sweep at --jobs 8 is therefore
 /// bit-identical to --jobs 1 everywhere except wall-clock fields.
+///
+/// Dispatch order is not job-index order: jobs go to the workers grouped by
+/// their world trace (traceGroupedOrder), so each seed's traces are
+/// generated once and stay in the trace memo while all of that seed's cells
+/// run, instead of being evicted and regenerated seed after seed.
 
 #include <cstdint>
 #include <iosfwd>
@@ -59,6 +64,11 @@ std::vector<SweepJob> expandGrid(const SweepGrid& grid);
 /// Raw axis value → JSON scalar literal (numbers and booleans pass
 /// through, anything else is quoted).
 std::string jsonScalar(const std::string& raw);
+
+/// Job positions in dispatch order: grouped by runner::worldTraceConfig,
+/// groups in order of first appearance, grid order within a group. Used by
+/// SweepEngine::runJobs and the spool worker.
+std::vector<std::size_t> traceGroupedOrder(const std::vector<SweepJob>& jobs);
 
 /// FNV-1a 64 of arbitrary text — the hash behind config and sweep
 /// fingerprints (work_unit.hpp).

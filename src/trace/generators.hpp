@@ -16,6 +16,7 @@
 /// Two presets, realityLike() and infocomLike(), match the node counts and
 /// qualitative density/duration regimes of the originals.
 
+#include <compare>
 #include <cstdint>
 
 #include "sim/rng.hpp"
@@ -81,6 +82,10 @@ struct SyntheticTraceConfig {
   double interContactAlpha = 2.0;
 
   std::uint64_t seed = 1;
+
+  /// Field-wise: equal configs generate identical traces (the trace memo's
+  /// key); the ordering lets sweep dispatch group jobs by config.
+  auto operator<=>(const SyntheticTraceConfig&) const = default;
 };
 
 struct SyntheticTrace {

@@ -133,9 +133,7 @@ double SyntheticMobility::pairSparsity() const {
 }
 
 RateMatrix SyntheticMobility::groundTruthRates() const {
-  RateMatrix m(config_.nodeCount, PairBackend::kSparse);
-  for (const Edge& e : edges_) m.setRate(e.a, e.b, e.rate);
-  return m;
+  return RateMatrix::fromPairs(config_.nodeCount, edges_, PairBackend::kSparse);
 }
 
 SyntheticTrace SyntheticMobility::materialize() {

@@ -74,11 +74,7 @@ class SyntheticMobility {
   SyntheticTrace materialize();
 
  private:
-  struct Edge {
-    NodeId a;
-    NodeId b;
-    double rate;  ///< λ_e: mean contacts per second on this edge
-  };
+  using Edge = PairRate;  ///< a < b; rate is λ_e, mean contacts per second
 
   void buildGraph();
   void assignRates();

@@ -41,4 +41,55 @@ RateMatrix RateMatrix::fitFromTrace(const ContactTrace& trace, PairBackend backe
   return m;
 }
 
+RateMatrix RateMatrix::fromPairs(std::size_t n, std::span<const PairRate> pairs,
+                                 PairBackend backend) {
+  RateMatrix m(n, backend);
+  for (const PairRate& p : pairs)
+    DTNCACHE_CHECK_MSG(p.a < n && p.b < n && p.a != p.b && p.rate >= 0.0,
+                       "RateMatrix::fromPairs: bad pair (" << p.a << ", " << p.b << ") with rate "
+                                                           << p.rate << " on " << n << " nodes");
+  if (!m.sparse_) {
+    std::vector<bool> seen(m.rates_.size(), false);
+    for (const PairRate& p : pairs) {
+      const std::size_t k = m.index(p.a, p.b);
+      DTNCACHE_CHECK_MSG(!seen[k], "RateMatrix::fromPairs: duplicate pair (" << p.a << ", "
+                                                                            << p.b << ")");
+      seen[k] = true;
+      m.rates_[k] = p.rate;
+    }
+    return m;
+  }
+  DTNCACHE_CHECK_MSG(pairs.size() < core::SlotIndex::kNoSlot,
+                     "RateMatrix::fromPairs: " << pairs.size() << " pairs overflow the slot index");
+
+  std::vector<std::uint32_t> degree(n, 0);
+  for (const PairRate& p : pairs) {
+    ++degree[p.a];
+    ++degree[p.b];
+  }
+  for (NodeId i = 0; i < n; ++i) m.neighbors_[i].reserve(degree[i]);
+  m.values_.reserve(pairs.size());
+  for (std::uint32_t slot = 0; slot < pairs.size(); ++slot) {
+    const PairRate& p = pairs[slot];
+    m.values_.push_back(p.rate);
+    m.neighbors_[p.a].push_back(Neighbor{p.b, slot});
+    m.neighbors_[p.b].push_back(Neighbor{p.a, slot});
+  }
+  const auto byId = [](const Neighbor& x, const Neighbor& y) { return x.id < y.id; };
+  const auto sameId = [](const Neighbor& x, const Neighbor& y) { return x.id == y.id; };
+  for (NodeId i = 0; i < n; ++i) {
+    auto& row = m.neighbors_[i];
+    std::sort(row.begin(), row.end(), byId);
+    const auto twin = std::adjacent_find(row.begin(), row.end(), sameId);
+    DTNCACHE_CHECK_MSG(twin == row.end(), "RateMatrix::fromPairs: duplicate pair ("
+                                              << i << ", " << twin->id << ")");
+  }
+
+  // Distinct pairs now, so the pre-sized index never grows.
+  m.index_ = core::SlotIndex(pairs.size());
+  for (std::uint32_t slot = 0; slot < pairs.size(); ++slot)
+    m.index_.insert(core::packSymmetricPair(pairs[slot].a, pairs[slot].b), slot);
+  return m;
+}
+
 }  // namespace dtncache::trace

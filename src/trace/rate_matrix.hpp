@@ -26,6 +26,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,6 +48,13 @@ inline double contactProbability(double rate, sim::SimTime window) {
 inline double expectedContactDelay(double rate) {
   return rate > 0.0 ? 1.0 / rate : std::numeric_limits<double>::infinity();
 }
+
+/// One entry of a bulk RateMatrix build: λ for the unordered pair {a, b}.
+struct PairRate {
+  NodeId a = 0;
+  NodeId b = 0;
+  double rate = 0.0;  ///< λ: mean contacts per second
+};
 
 class RateMatrix {
  public:
@@ -147,6 +155,14 @@ class RateMatrix {
   /// λ_ij = (#contacts of pair) / (trace duration).
   static RateMatrix fitFromTrace(const ContactTrace& trace,
                                  PairBackend backend = PairBackend::kAuto);
+
+  /// Bulk build from distinct pairs: equal to a setRate() loop over
+  /// `pairs` in order (pair k gets value slot k), but the sparse index is
+  /// sized once and each adjacency row is filled, then sorted once, instead
+  /// of one hash insert and two sorted row inserts per pair. Self,
+  /// duplicate and out-of-range pairs and negative rates throw.
+  static RateMatrix fromPairs(std::size_t n, std::span<const PairRate> pairs,
+                              PairBackend backend = PairBackend::kAuto);
 
  private:
   struct Neighbor {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <future>
+#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -10,20 +13,13 @@ namespace dtncache::trace {
 
 namespace {
 
-bool sameConfig(const SyntheticTraceConfig& a, const SyntheticTraceConfig& b) {
-  return a.nodeCount == b.nodeCount && a.duration == b.duration && a.model == b.model &&
-         a.meanContactsPerPairPerDay == b.meanContactsPerPairPerDay &&
-         a.paretoShape == b.paretoShape && a.rateSpread == b.rateSpread &&
-         a.communities == b.communities && a.intraCommunityBoost == b.intraCommunityBoost &&
-         a.diurnal == b.diurnal && a.nightActivity == b.nightActivity &&
-         a.meanContactDuration == b.meanContactDuration && a.meanDegree == b.meanDegree &&
-         a.interCommunityFraction == b.interCommunityFraction &&
-         a.interContactAlpha == b.interContactAlpha && a.seed == b.seed;
-}
-
 struct Entry {
+  std::uint64_t id = 0;  ///< stable name for the generating caller
   SyntheticTraceConfig config;
-  std::shared_ptr<const SyntheticTrace> trace;
+  /// Set by the generating caller; waiters block on it. Always holds one
+  /// reference to the trace once it has a value.
+  std::shared_future<std::shared_ptr<const SyntheticTrace>> trace;
+  bool ready = false;  ///< has a value (failed generations are erased)
   std::uint64_t lastUse = 0;
 };
 
@@ -40,47 +36,83 @@ Cache& cache() {
   return c;
 }
 
-/// A sweep holds at most (world + warm-up) traces per live seed; eight seeds
-/// of headroom covers the distance between one scheme arm's use of a seed
-/// and the next arm's reuse for typical grids, while bounding memory.
-constexpr std::size_t kMaxEntries = 16;
+/// Idle entries kept beyond those in use: one experiment's world plus its
+/// warm-up, so back-to-back runs of one config still hit.
+constexpr std::size_t kIdleKept = 2;
+
+/// No caller holds the trace: the future's own reference is the only one.
+/// Hits on a ready entry copy the trace under the lock, so they always
+/// count. A waiter still copying it out of the future does not; evicting
+/// its entry then only costs a later call a regeneration of the same bytes.
+bool idle(const Entry& e) { return e.ready && e.trace.get().use_count() == 1; }
+
+/// Move all but the kIdleKept most recently used idle entries into
+/// `evicted`, which the caller destroys after releasing the lock.
+void trimIdle(Cache& c, std::vector<Entry>& evicted) {
+  std::vector<std::uint64_t> idleUses;
+  for (const Entry& e : c.entries)
+    if (idle(e)) idleUses.push_back(e.lastUse);
+  if (idleUses.size() <= kIdleKept) return;
+  std::nth_element(idleUses.begin(), idleUses.begin() + (kIdleKept - 1), idleUses.end(),
+                   std::greater<>());
+  const std::uint64_t oldestKept = idleUses[kIdleKept - 1];
+  const auto keep = std::stable_partition(c.entries.begin(), c.entries.end(), [&](const Entry& e) {
+    return !idle(e) || e.lastUse >= oldestKept;
+  });
+  std::move(keep, c.entries.end(), std::back_inserter(evicted));
+  c.entries.erase(keep, c.entries.end());
+}
 
 }  // namespace
 
 std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig& config) {
   Cache& c = cache();
+  std::vector<Entry> evicted;  // destroyed after the lock is released
+  std::shared_ptr<const SyntheticTrace> held;
+  std::shared_future<std::shared_ptr<const SyntheticTrace>> pending;
+  std::promise<std::shared_ptr<const SyntheticTrace>> promise;
+  std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(c.mu);
-    for (Entry& e : c.entries) {
-      if (sameConfig(e.config, config)) {
-        e.lastUse = ++c.clock;
-        ++c.hits;
-        return e.trace;
-      }
+    const auto it = std::find_if(c.entries.begin(), c.entries.end(),
+                                 [&](const Entry& e) { return e.config == config; });
+    if (it != c.entries.end()) {
+      ++c.hits;
+      it->lastUse = ++c.clock;
+      // A ready trace is copied before the trim below, so it counts as held.
+      if (it->ready)
+        held = it->trace.get();
+      else
+        pending = it->trace;
+    } else {
+      ++c.misses;
+      id = ++c.clock;
+      c.entries.push_back(Entry{id, config, promise.get_future().share(), false, id});
     }
-    ++c.misses;
+    trimIdle(c, evicted);
   }
+  if (held) return held;
+  // Another caller is generating this config: wait for its result (or its
+  // exception) outside the lock.
+  if (pending.valid()) return pending.get();
 
-  // Generate outside the lock so concurrent sweep workers are not
-  // serialized behind one another's generation. Two workers racing on the
-  // same config may both generate; the results are identical, so the
-  // duplicate insert below is harmless (the loser's copy is dropped).
-  auto fresh = std::make_shared<const SyntheticTrace>(generate(config));
-
+  // Generate outside the lock: workers on other configs are not serialized
+  // behind this one, and workers on this config wait on the entry's future.
+  std::shared_ptr<const SyntheticTrace> fresh;
+  try {
+    fresh = std::make_shared<const SyntheticTrace>(generate(config));
+  } catch (...) {
+    // Every waiter gets the exception; the entry goes, so a later call
+    // retries instead of finding a failed result.
+    promise.set_exception(std::current_exception());
+    std::lock_guard<std::mutex> lock(c.mu);
+    std::erase_if(c.entries, [id](const Entry& e) { return e.id == id; });
+    throw;
+  }
+  promise.set_value(fresh);
   std::lock_guard<std::mutex> lock(c.mu);
-  for (Entry& e : c.entries) {
-    if (sameConfig(e.config, config)) {
-      e.lastUse = ++c.clock;
-      return e.trace;
-    }
-  }
-  if (c.entries.size() >= kMaxEntries) {
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < c.entries.size(); ++i)
-      if (c.entries[i].lastUse < c.entries[victim].lastUse) victim = i;
-    c.entries.erase(c.entries.begin() + static_cast<std::ptrdiff_t>(victim));
-  }
-  c.entries.push_back(Entry{config, fresh, ++c.clock});
+  for (Entry& e : c.entries)  // absent if clearTraceCache() ran meanwhile
+    if (e.id == id) e.ready = true;
   return fresh;
 }
 
@@ -173,8 +205,8 @@ std::shared_ptr<const SyntheticTrace> externalShared(const ContactTrace& trace) 
     ++c.misses;
   }
 
-  // Copy + fit outside the lock (same racing-duplicates tolerance as
-  // generateShared: both losers produce identical objects).
+  // Copy + fit outside the lock. Two callers racing on one trace may both
+  // fit it; the results are identical, so the loser's copy is dropped.
   auto fresh = std::make_shared<SyntheticTrace>();
   fresh->trace = trace;
   fresh->rates = RateMatrix::fitFromTrace(fresh->trace);

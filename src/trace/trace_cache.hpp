@@ -4,16 +4,28 @@
 /// Process-wide memoization of synthetic-trace generation.
 ///
 /// `generate()` is deterministic in its config, and the workloads that
-/// dominate wall-clock reuse the same config many times over: a sweep grid
-/// enumerates scheme × seed, so every scheme arm replays the exact trace the
-/// previous arm generated, and benchmark reps re-run one config back to
-/// back. Generation is RNG-bound (hundreds of thousands of exponential
-/// draws), so replaying a cached trace instead is a large constant saving
-/// with byte-identical results — callers receive the same contacts, rates
-/// and community vectors a fresh generate() would produce.
+/// dominate wall-clock reuse the same config many times over: every cell of
+/// a sweep grid that shares a seed replays the same world and warm-up
+/// traces, and benchmark reps re-run one config back to back. Generation is
+/// RNG-bound (hundreds of thousands of exponential draws), so replaying a
+/// cached trace instead is a large constant saving with byte-identical
+/// results — callers receive the same contacts, rates and community vectors
+/// a fresh generate() would produce.
 ///
-/// The cache is a small LRU keyed by the full config (every field, not just
-/// the seed) and is safe to call from concurrent sweep workers.
+/// The memo is keyed by the full config (every field, not just the seed)
+/// and is safe to call from concurrent sweep workers:
+///  - Single-flight: the first caller of a config generates it; concurrent
+///    callers of the same config wait for that result instead of
+///    generating duplicates. If generation throws, every waiter gets the
+///    exception and no entry is left behind, so a later call retries.
+///  - Retention: an entry is kept while any caller holds its trace. Of the
+///    idle entries (no holder), only the two most recently used are kept —
+///    one experiment's world plus its warm-up — so back-to-back runs of one
+///    config still hit. Idle entries beyond those are dropped on the next
+///    call.
+/// Sweeps get one generation per distinct trace by dispatching jobs grouped
+/// by trace config (sweep::traceGroupedOrder), so a seed's traces stay held
+/// while all of its cells run.
 
 #include <cstddef>
 #include <memory>
@@ -23,13 +35,14 @@
 namespace dtncache::trace {
 
 /// Like generate(), but memoized: returns a shared immutable trace, reusing
-/// a previous generation when one with an identical config is still cached.
+/// (or waiting for) a generation of an identical config when one is cached
+/// or in flight. Rethrows generate()'s exception for an invalid config.
 std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig& config);
 
 struct TraceCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t entries = 0;
+  std::size_t hits = 0;     ///< calls served by a cached or in-flight trace
+  std::size_t misses = 0;   ///< generations started
+  std::size_t entries = 0;  ///< traces cached now (held, idle or in flight)
 };
 
 /// Counters since process start (or the last clearTraceCache()).

@@ -7,6 +7,7 @@
 
 #include "runner/replicate.hpp"
 #include "sweep/result_sink.hpp"
+#include "trace/trace_cache.hpp"
 
 namespace dtncache::sweep {
 namespace {
@@ -141,6 +142,58 @@ TEST(SweepEngine, ResultsArriveInJobIndexOrderWithOutputs) {
     EXPECT_GT(results[i].output.results.meanFreshFraction, 0.0);
     EXPECT_GE(results[i].wallSeconds, 0.0);
   }
+}
+
+TEST(TraceGroupedOrder, GroupsBySeedKeepingGridOrderInside) {
+  SweepGrid grid;
+  grid.base = tinyConfig();
+  grid.schemes = {runner::SchemeKind::kEpidemic, runner::SchemeKind::kSourceDirect};
+  grid.seeds = {1, 2};
+  grid.axes = {{"catalog.itemCount", {"3", "5"}}};
+  // Grid order: (items, scheme, seed) with seed fastest -> seed 1 at even
+  // indices, seed 2 at odd ones.
+  const std::vector<std::size_t> expected{0, 2, 4, 6, 1, 3, 5, 7};
+  EXPECT_EQ(traceGroupedOrder(expandGrid(grid)), expected);
+
+  // A knob of the trace itself splits groups too.
+  grid.axes = {{"trace.durationSeconds", {"86400", "172800"}}};
+  grid.schemes = {runner::SchemeKind::kEpidemic};
+  const std::vector<std::size_t> distinct{0, 1, 2, 3};
+  EXPECT_EQ(traceGroupedOrder(expandGrid(grid)), distinct);
+}
+
+/// One generation per distinct trace per sweep: a 16-seed × 2-scheme × 2-τ
+/// Infocom-like grid with warm-up needs exactly one world and one warm-up
+/// trace per seed, at any worker count, and its output bytes do not depend
+/// on the dispatch order.
+TEST(SweepEngine, EachSeedsTracesAreGeneratedOnce) {
+  SweepGrid grid;
+  grid.base.trace = trace::infocomLikeConfig(3);
+  grid.base.trace.duration = sim::hours(12);
+  grid.base.estimatorWarmup = sim::hours(6);
+  grid.base.catalog.itemCount = 3;
+  grid.base.workload.queriesPerNodePerDay = 2.0;
+  grid.base.cache.cachingNodesPerItem = 4;
+  grid.schemes = {runner::SchemeKind::kHierarchical, runner::SchemeKind::kNoRefresh};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) grid.seeds.push_back(seed);
+  grid.axes = {{"catalog.refreshPeriodSeconds", {"10800", "21600"}}};
+
+  const auto runAt = [&grid](std::size_t jobs) {
+    trace::clearTraceCache();
+    std::ostringstream jsonl;
+    JsonlSink sink(jsonl, /*wallClock=*/false);
+    SweepEngine(SweepOptions{jobs, /*progress=*/false}).run(grid, {&sink});
+    return jsonl.str();
+  };
+
+  const std::string serial = runAt(1);
+  EXPECT_EQ(trace::traceCacheStats().misses, 32u);
+  const std::string parallel = runAt(4);
+  const auto stats = trace::traceCacheStats();
+  EXPECT_EQ(stats.misses, 32u);
+  EXPECT_EQ(stats.hits, 64u * 2 - 32u);
+  EXPECT_EQ(std::count(parallel.begin(), parallel.end(), '\n'), 64);
+  EXPECT_EQ(serial, parallel);
 }
 
 TEST(CsvSinkTest, NoNanCellsEvenWithZeroQueries) {

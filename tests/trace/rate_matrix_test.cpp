@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "sim/rng.hpp"
 
 namespace dtncache::trace {
 namespace {
@@ -77,6 +82,65 @@ TEST(RateMatrix, FitFromTrace) {
 TEST(RateMatrix, FitFromEmptyTraceIsZero) {
   const auto m = RateMatrix::fitFromTrace(ContactTrace(3, {}));
   EXPECT_DOUBLE_EQ(m.rate(0, 1), 0.0);
+}
+
+/// Distinct random pairs over n nodes, in draw order, with random
+/// orientation and rates.
+std::vector<PairRate> randomPairs(std::size_t n, std::size_t count, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::set<std::pair<NodeId, NodeId>> seen;
+  std::vector<PairRate> pairs;
+  while (pairs.size() < count) {
+    const auto a = static_cast<NodeId>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    const auto b = static_cast<NodeId>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    if (a == b || !seen.emplace(std::min(a, b), std::max(a, b)).second) continue;
+    pairs.push_back(PairRate{a, b, rng.uniform(0.0, 2.0)});
+  }
+  return pairs;
+}
+
+void expectSameMatrix(const RateMatrix& bulk, const RateMatrix& perPair) {
+  ASSERT_EQ(bulk.nodeCount(), perPair.nodeCount());
+  ASSERT_EQ(bulk.isSparse(), perPair.isSparse());
+  EXPECT_EQ(bulk.observedPairCount(), perPair.observedPairCount());
+  const std::size_t n = bulk.nodeCount();
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = 0; j < n; ++j) ASSERT_EQ(bulk.rate(i, j), perPair.rate(i, j));
+    EXPECT_EQ(bulk.nodeRateSum(i), perPair.nodeRateSum(i));
+    std::vector<std::pair<NodeId, double>> a, b;
+    bulk.forEachNeighbor(i, [&a](NodeId j, double r) { a.emplace_back(j, r); });
+    perPair.forEachNeighbor(i, [&b](NodeId j, double r) { b.emplace_back(j, r); });
+    ASSERT_EQ(a, b) << "row " << i;
+  }
+}
+
+TEST(RateMatrix, BulkBuildEqualsPerPairBuild) {
+  for (const PairBackend backend : {PairBackend::kSparse, PairBackend::kDense}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const std::size_t n = 5 + 7 * seed;
+      const auto pairs = randomPairs(n, seed * n / 2, seed);
+      RateMatrix perPair(n, backend);
+      for (const PairRate& p : pairs) perPair.setRate(p.a, p.b, p.rate);
+      expectSameMatrix(RateMatrix::fromPairs(n, pairs, backend), perPair);
+    }
+  }
+  // No pairs: every rate reads as zero.
+  const RateMatrix empty = RateMatrix::fromPairs(4, {}, PairBackend::kSparse);
+  EXPECT_EQ(empty.observedPairCount(), 0u);
+  EXPECT_EQ(empty.rate(0, 3), 0.0);
+}
+
+TEST(RateMatrix, BulkBuildRejectsBadPairs) {
+  for (const PairBackend backend : {PairBackend::kSparse, PairBackend::kDense}) {
+    const std::vector<PairRate> self{{0, 1, 1.0}, {2, 2, 1.0}};
+    const std::vector<PairRate> duplicate{{0, 1, 1.0}, {3, 2, 1.0}, {1, 0, 2.0}};
+    const std::vector<PairRate> outOfRange{{0, 4, 1.0}};
+    const std::vector<PairRate> negative{{0, 1, -1.0}};
+    EXPECT_THROW(RateMatrix::fromPairs(4, self, backend), InvariantViolation);
+    EXPECT_THROW(RateMatrix::fromPairs(4, duplicate, backend), InvariantViolation);
+    EXPECT_THROW(RateMatrix::fromPairs(4, outOfRange, backend), InvariantViolation);
+    EXPECT_THROW(RateMatrix::fromPairs(4, negative, backend), InvariantViolation);
+  }
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
 #include <vector>
 
+#include "runner/experiment.hpp"
 #include "trace/rate_matrix.hpp"
 
 namespace dtncache::trace {
@@ -100,6 +103,103 @@ TEST(ExternalTraceCache, ClearResetsEntriesAndStats) {
   const auto second = externalShared(t);
   EXPECT_NE(second.get(), first.get());
   expectSameRates(second->rates, first->rates);
+}
+
+// ---- generateShared -----------------------------------------------------------
+
+SyntheticTraceConfig memoConfig(std::uint64_t seed) {
+  return homogeneousConfig(12, 4.0, sim::days(2), seed);
+}
+
+TEST(TraceMemo, ConcurrentCallersShareOneGeneration) {
+  clearTraceCache();
+  const SyntheticTraceConfig config = infocomLikeConfig(5);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const SyntheticTrace>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = generateShared(config);
+    });
+  for (auto& th : threads) th.join();
+
+  const auto stats = traceCacheStats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kThreads - 1);
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& trace : got) EXPECT_EQ(trace.get(), got[0].get());
+  EXPECT_EQ(got[0]->trace.contacts().size(), generate(config).trace.contacts().size());
+}
+
+TEST(TraceMemo, FailedGenerationThrowsInEveryCallerAndLeavesNoEntry) {
+  clearTraceCache();
+  SyntheticTraceConfig bad = memoConfig(1);
+  bad.nodeCount = 1;
+  constexpr std::size_t kThreads = 4;
+  std::vector<int> threw(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      try {
+        (void)generateShared(bad);
+      } catch (const InvariantViolation&) {
+        threw[t] = 1;
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (const int t : threw) EXPECT_EQ(t, 1);
+  EXPECT_EQ(traceCacheStats().entries, 0u);
+
+  // A later call generates again and fails again, rather than hanging on
+  // or returning the failed result.
+  const std::size_t missesBefore = traceCacheStats().misses;
+  EXPECT_THROW((void)generateShared(bad), InvariantViolation);
+  EXPECT_EQ(traceCacheStats().misses, missesBefore + 1);
+  EXPECT_EQ(traceCacheStats().entries, 0u);
+}
+
+TEST(TraceMemo, HeldTracesStayAndOnlyTwoIdleAreKept) {
+  clearTraceCache();
+  const auto held = generateShared(memoConfig(1));
+  for (std::uint64_t seed = 2; seed <= 4; ++seed)
+    (void)generateShared(memoConfig(seed));  // idle as soon as the call returns
+
+  // Three idle configs: the next call drops the oldest (2), keeps 3 and 4.
+  EXPECT_EQ(generateShared(memoConfig(1)).get(), held.get());
+  EXPECT_EQ(traceCacheStats().entries, 3u);
+  (void)generateShared(memoConfig(3));
+  (void)generateShared(memoConfig(4));
+  EXPECT_EQ(traceCacheStats().misses, 4u);
+  (void)generateShared(memoConfig(2));
+  EXPECT_EQ(traceCacheStats().misses, 5u);
+
+  // However many idle configs pass through, the held trace stays.
+  for (std::uint64_t seed = 5; seed <= 11; ++seed) (void)generateShared(memoConfig(seed));
+  EXPECT_EQ(generateShared(memoConfig(1)).get(), held.get());
+  const auto stats = traceCacheStats();
+  EXPECT_EQ(stats.misses, 12u);
+  EXPECT_EQ(stats.entries, 3u);  // the held trace plus two idle ones
+}
+
+TEST(TraceMemo, BackToBackExperimentsHitWorldAndWarmup) {
+  clearTraceCache();
+  runner::ExperimentConfig config;
+  config.trace = memoConfig(7);
+  config.catalog.itemCount = 2;
+  config.estimatorWarmup = sim::days(1);
+  const auto first = runner::runExperiment(config);
+  auto stats = traceCacheStats();
+  EXPECT_EQ(stats.misses, 2u);  // world + warm-up
+  EXPECT_EQ(stats.hits, 0u);
+  const auto second = runner::runExperiment(config);
+  stats = traceCacheStats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(first.results.meanFreshFraction, second.results.meanFreshFraction);
 }
 
 }  // namespace
