@@ -14,8 +14,18 @@
 /// snapshots with a percentage threshold. Run from a Release build
 /// (scripts/bench_baseline.sh does this for you) — CMake warns otherwise.
 ///
+/// A snapshot records its host (usable cores, CPU model, compiler and
+/// flags), so bench_compare.py can refuse cross-host comparisons, and every
+/// benchmark's spread: the count and min/median/max wall time of its timed
+/// repetitions (`reps`, `rep_min_ms`, `rep_median_ms`, `rep_max_ms`). The
+/// JSON file is rewritten after each benchmark, with `"complete": false`
+/// until the last one, so a run that dies part-way keeps what it measured.
+///
 ///   bench_kernel [--json=PATH] [--label=NAME] [--quick]
 
+#include <sched.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -51,6 +61,12 @@
 #ifndef DTNCACHE_BUILD_TYPE
 #define DTNCACHE_BUILD_TYPE "unknown"
 #endif
+#ifndef DTNCACHE_COMPILER
+#define DTNCACHE_COMPILER "unknown"
+#endif
+#ifndef DTNCACHE_CXX_FLAGS
+#define DTNCACHE_CXX_FLAGS "unknown"
+#endif
 
 namespace dtncache::bench {
 namespace {
@@ -59,6 +75,19 @@ using Clock = std::chrono::steady_clock;
 
 double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Wall times of the current benchmark's timed repetitions; main() turns
+/// them into the spread columns and clears them after each benchmark.
+std::vector<double>& repSeconds() {
+  static std::vector<double> reps;
+  return reps;
+}
+
+/// Record one timed repetition and return its length.
+double recordRep(double secs) {
+  repSeconds().push_back(secs);
+  return secs;
 }
 
 /// One benchmark's metrics, in insertion order (stable JSON output).
@@ -83,7 +112,7 @@ double bestSeconds(int reps, F&& body) {
   for (int r = 0; r < reps; ++r) {
     const auto t0 = Clock::now();
     body();
-    best = std::min(best, secondsSince(t0));
+    best = std::min(best, recordRep(secondsSince(t0)));
   }
   return best;
 }
@@ -160,7 +189,7 @@ Metrics benchNetReplay(const trace::SyntheticTraceConfig& cfg) {
   network.start([&delivered](NodeId, NodeId, sim::SimTime, sim::SimTime,
                              net::ContactChannel&) { ++delivered; });
   simulator.runUntil(cfg.duration);
-  const double secs = secondsSince(t0);
+  const double secs = recordRep(secondsSince(t0));
   Metrics m;
   m.set("contacts", static_cast<double>(delivered));
   m.set("contacts_per_sec", static_cast<double>(delivered) / secs);
@@ -189,6 +218,8 @@ Metrics benchExperiment(const runner::ExperimentConfig& cfg, int reps = 3) {
   m.set("contacts_per_sec", static_cast<double>(contacts) / secs);
   m.set("peak_pending", static_cast<double>(out.peakPendingEvents));
   m.set("wall_ms", secs * 1e3);
+  for (const auto& timer : out.timers)
+    if (timer.name == "runner.run") m.set("runner_run_ms", timer.seconds * 1e3);
   if (out.shardStats.shards > 0) {
     // Sharded-kernel runs: how much of the trace actually ran on workers
     // (boring fraction) bounds the achievable speedup (Amdahl).
@@ -324,7 +355,7 @@ Metrics benchPlanReplication(NodeId members, int iters, bool cached) {
       assignments += core::planReplication(h, rate, sim::hours(6), rcfg).totalAssignments();
     }
   }
-  const double secs = secondsSince(t0);
+  const double secs = recordRep(secondsSince(t0));
   Metrics m;
   m.set("plans_per_sec", static_cast<double>(iters) / secs);
   m.set("us_per_plan", secs * 1e6 / static_cast<double>(iters));
@@ -368,7 +399,7 @@ Metrics benchEstimatorSnapshot(NodeId nodes, std::size_t contactsPerTick,
     now += sim::minutes(10);
     changed += est.snapshotInto(m, now, nullptr, force).changedPairs;
   }
-  const double secs = secondsSince(t0);
+  const double secs = recordRep(secondsSince(t0));
   Metrics out;
   out.set("snapshots_per_sec", static_cast<double>(snapshots) / secs);
   out.set("us_per_snapshot", secs * 1e6 / static_cast<double>(snapshots));
@@ -486,6 +517,7 @@ Metrics benchSweepFanout(std::size_t seedCount) {
     DTNCACHE_CHECK(completed == jobs);
     fs::remove_all(store);
   }
+  recordRep(wall[2]);
   m.set("jobs", static_cast<double>(jobs));
   m.set("jobs_per_sec", static_cast<double>(jobs) / wall[2]);
   m.set("jobs_per_sec_1worker", static_cast<double>(jobs) / wall[1]);
@@ -508,6 +540,7 @@ Metrics benchMobilityStream(std::size_t nodes, sim::SimTime duration) {
   const auto t1 = Clock::now();
   while (stream.next(c)) ++contacts;
   const double streamSecs = secondsSince(t1);
+  recordRep(buildSecs + streamSecs);
   Metrics m;
   m.set("edges", static_cast<double>(stream.edgeCount()));
   m.set("contacts", static_cast<double>(contacts));
@@ -552,7 +585,7 @@ Metrics benchSparseEstimator(std::size_t nodes, std::size_t snapshots) {
     now += sim::minutes(10);
     changed += est.snapshotInto(m, now).changedPairs;
   }
-  const double secs = secondsSince(t0);
+  const double secs = recordRep(secondsSince(t0));
   Metrics out;
   out.set("observed_pairs", static_cast<double>(est.observedPairCount()));
   out.set("snapshots_per_sec", static_cast<double>(snapshots) / secs);
@@ -580,17 +613,65 @@ Metrics benchSparseCentrality(std::size_t nodes, std::size_t k, int reps) {
   return m;
 }
 
-void writeJson(const std::string& path, const std::string& label, bool quick,
+/// The spread columns of one benchmark from its recorded repetitions.
+void addSpread(Metrics& m, std::vector<double> reps) {
+  if (reps.empty()) return;
+  std::sort(reps.begin(), reps.end());
+  const std::size_t mid = reps.size() / 2;
+  const double median = reps.size() % 2 == 1 ? reps[mid] : (reps[mid - 1] + reps[mid]) / 2.0;
+  m.set("reps", static_cast<double>(reps.size()));
+  m.set("rep_min_ms", reps.front() * 1e3);
+  m.set("rep_median_ms", median * 1e3);
+  m.set("rep_max_ms", reps.back() * 1e3);
+}
+
+std::size_t usableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return 1;
+  return static_cast<std::size_t>(CPU_COUNT(&set));
+}
+
+std::string cpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    const auto start = colon == std::string::npos ? colon : line.find_first_not_of(' ', colon + 1);
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
+/// A JSON string literal: quotes and backslashes escaped, control bytes dropped.
+std::string jsonString(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+/// Write the snapshot to a temporary file and rename it over `path`, so a
+/// reader never sees half a file.
+void writeJson(const std::string& path, const std::string& label, bool quick, bool complete,
                const std::vector<std::pair<std::string, Metrics>>& results) {
-  std::ofstream out(path);
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp);
   if (!out.good()) {
-    std::cerr << "cannot write " << path << "\n";
+    std::cerr << "cannot write " << tmp << "\n";
     std::exit(1);
   }
   out.precision(10);
-  out << "{\n  \"schema\": 1,\n  \"label\": \"" << label << "\",\n"
+  out << "{\n  \"schema\": 1,\n  \"label\": " << jsonString(label) << ",\n"
       << "  \"build_type\": \"" << DTNCACHE_BUILD_TYPE << "\",\n"
-      << "  \"quick\": " << (quick ? "true" : "false") << ",\n  \"results\": {\n";
+      << "  \"host\": {\"nproc\": " << usableCpus() << ", \"cpu\": " << jsonString(cpuModel())
+      << ", \"compiler\": " << jsonString(DTNCACHE_COMPILER)
+      << ", \"cxx_flags\": " << jsonString(DTNCACHE_CXX_FLAGS) << "},\n"
+      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+      << "  \"complete\": " << (complete ? "true" : "false") << ",\n  \"results\": {\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     out << "    \"" << results[i].first << "\": {";
     const auto& vals = results[i].second.values;
@@ -601,12 +682,19 @@ void writeJson(const std::string& path, const std::string& label, bool quick,
     out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  }\n}\n";
+  out.close();
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (!out || ec) {
+    std::cerr << "cannot write " << path << "\n";
+    std::exit(1);
+  }
 }
 
 }  // namespace
 }  // namespace dtncache::bench
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dtncache;
   using namespace dtncache::bench;
 
@@ -627,12 +715,17 @@ int main(int argc, char** argv) {
   const std::size_t n = quick ? 50'000 : 200'000;
   const int reps = quick ? 2 : 5;
 
+  // `run` receives a finished benchmark: its repetitions are in
+  // repSeconds(), recorded while the argument was evaluated.
   std::vector<std::pair<std::string, Metrics>> results;
   const auto run = [&](const std::string& name, Metrics m) {
+    addSpread(m, repSeconds());
+    repSeconds().clear();
     results.push_back({name, std::move(m)});
     std::cout << name << ":";
     for (const auto& [k, v] : results.back().second.values) std::cout << "  " << k << "=" << v;
-    std::cout << "\n";
+    std::cout << std::endl;
+    if (!jsonPath.empty()) writeJson(jsonPath, label, quick, /*complete=*/false, results);
   };
 
   std::cout << "bench_kernel (" << DTNCACHE_BUILD_TYPE << (quick ? ", quick" : "")
@@ -709,8 +802,11 @@ int main(int argc, char** argv) {
   }
 
   if (!jsonPath.empty()) {
-    writeJson(jsonPath, label, quick, results);
+    writeJson(jsonPath, label, quick, /*complete=*/true, results);
     std::cout << "wrote " << jsonPath << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_kernel: error: " << e.what() << "\n";
+  return 1;
 }

@@ -2,8 +2,8 @@
 """Compare two bench_kernel JSON snapshots and flag regressions.
 
 Usage:
-    scripts/bench_compare.py BASE[:LABEL] CAND[:LABEL] [--threshold PCT]
-    scripts/bench_compare.py --before BASE[:LABEL] --after CAND[:LABEL]
+    scripts/bench_compare.py BASE[:LABEL] CAND[:LABEL] [--threshold PCT] [--force]
+    scripts/bench_compare.py --before BASE[:LABEL] --after CAND[:LABEL] [--force]
 
 Each argument is a JSON file written by `bench_kernel --json=...` (a single
 snapshot) or a committed BENCH_kernel.json (a `snapshots` list — append
@@ -15,6 +15,14 @@ and the percentage delta, oriented so positive is always an improvement
 throughput metric regressed by more than --threshold percent (default 10),
 which makes it usable as a CI gate; footprint metrics are informational.
 
+Snapshots are compared only when they come from the same host: the same
+usable core count and CPU model in their `host` record (bench_kernel
+writes it; snapshots from before it did have none and count as an unknown
+host). Otherwise the tool exits 2 and says why, unless --force is given, in
+which case it prints the mismatch and compares anyway. CI passes --force:
+its gates compare a shared runner against a snapshot committed from a
+different machine, with thresholds wide enough for that.
+
 With --gate REGEX, only metrics whose full `bench.metric` name matches the
 regex participate in the exit code; everything else is printed for context
 but cannot fail the run. CI uses this to hard-gate the end-to-end
@@ -23,11 +31,11 @@ leaving the noisier micro-metrics informational on shared runners.
 
 With --before/--after the tool instead prints a report-only per-bench
 speedup table (one row per benchmark, ratio of its primary throughput
-metric) and always exits 0 — the format used to document optimization PRs,
-e.g. the incremental-maintenance before/after pair:
+metric) and exits 0 unless the hosts differ — the format used to document
+an optimization with a before/after pair of snapshots from one host:
 
-    scripts/bench_compare.py --before BENCH_kernel.json:pr4-maint-before \\
-                             --after BENCH_kernel.json:pr5-maint-after
+    scripts/bench_compare.py --before BENCH_kernel.json:BEFORE_LABEL \\
+                             --after BENCH_kernel.json:AFTER_LABEL
 
 With --shards SNAP, the tool prints a report-only shard-scaling table from a
 single snapshot: every benchmark with `_shardsN` variants gets one row per
@@ -74,7 +82,7 @@ def direction_of(metric: str):
 
 
 def load_snapshot(spec: str):
-    """`file.json` or `file.json:label` -> (label, results dict).
+    """`file.json` or `file.json:label` -> (label, results dict, host).
 
     Every malformation exits with a one-line diagnosis instead of a
     traceback: missing file, invalid JSON, no snapshots, unknown label, or a
@@ -105,7 +113,28 @@ def load_snapshot(spec: str):
     if not isinstance(snap, dict) or not isinstance(snap.get("results"), dict):
         sys.exit(f"error: snapshot {spec!r} has no results table (malformed "
                  "snapshot — regenerate with scripts/bench_baseline.sh)")
-    return snap.get("label", path), snap["results"]
+    host = snap.get("host") if isinstance(snap.get("host"), dict) else None
+    return snap.get("label", path), snap["results"], host
+
+
+def host_name(host):
+    if host is None:
+        return "unknown host"
+    return f"{host.get('nproc', '?')} x {host.get('cpu', '?')}"
+
+
+def check_same_host(base_label, base_host, cand_label, cand_host, force):
+    """Exit 2 unless both snapshots name the same cores and CPU (or --force)."""
+    key = lambda h: None if h is None else (h.get("nproc"), h.get("cpu"))
+    if key(base_host) is not None and key(base_host) == key(cand_host):
+        return
+    message = (f"{base_label} ({host_name(base_host)}) and {cand_label} "
+               f"({host_name(cand_host)}) do not come from the same host")
+    if not force:
+        print(f"error: {message}; pass --force to compare them anyway",
+              file=sys.stderr)
+        sys.exit(2)
+    print(f"warning: {message}; comparing anyway (--force)")
 
 
 def metric_tables(results: dict, bench: str):
@@ -114,11 +143,12 @@ def metric_tables(results: dict, bench: str):
     return table if isinstance(table, dict) else None
 
 
-def speedup_table(before_spec: str, after_spec: str):
+def speedup_table(before_spec: str, after_spec: str, force: bool):
     """Report-only per-bench speedup table: ratio of each benchmark's
     primary throughput metric (first `*_per_sec` in name order)."""
-    before_label, before = load_snapshot(before_spec)
-    after_label, after = load_snapshot(after_spec)
+    before_label, before, before_host = load_snapshot(before_spec)
+    after_label, after, after_host = load_snapshot(after_spec)
+    check_same_host(before_label, before_host, after_label, after_host, force)
     print(f"before: {before_label}")
     print(f"after:  {after_label}")
     print(f"{'bench':<28} {'metric':>18} {'before':>14} {'after':>14} {'speedup':>9}")
@@ -142,7 +172,7 @@ def speedup_table(before_spec: str, after_spec: str):
 def shard_table(spec: str):
     """Report-only shard-scaling table: for each bench with `_shardsN`
     variants, one row per shard count with speedup over the shards=1 base."""
-    label, results = load_snapshot(spec)
+    label, results, _ = load_snapshot(spec)
     print(f"snapshot: {label}")
     groups = {}
     for bench in results:
@@ -183,9 +213,13 @@ def main():
                          "throughput/latency metric)")
     ap.add_argument("--before", metavar="FILE[:LABEL]", default=None,
                     help="report-only mode: print a per-bench speedup table "
-                         "from this snapshot to --after (exit 0 always)")
+                         "from this snapshot to --after (exit 0 unless "
+                         "the hosts differ)")
     ap.add_argument("--after", metavar="FILE[:LABEL]", default=None,
                     help="the 'after' snapshot for --before")
+    ap.add_argument("--force", action="store_true",
+                    help="compare snapshots even when they come from "
+                         "different (or unrecorded) hosts")
     ap.add_argument("--shards", metavar="FILE[:LABEL]", default=None,
                     help="report-only mode: print a shard-scaling table from "
                          "one snapshot's *_shardsN benchmarks (exit 0 always)")
@@ -201,13 +235,14 @@ def main():
     if args.before is not None:
         if args.base or args.candidate:
             ap.error("--before/--after replaces the positional snapshots")
-        speedup_table(args.before, args.after)
+        speedup_table(args.before, args.after, args.force)
         return
     if args.base is None or args.candidate is None:
         ap.error("need BASE and CANDIDATE snapshots (or --before/--after)")
 
-    base_label, base = load_snapshot(args.base)
-    cand_label, cand = load_snapshot(args.candidate)
+    base_label, base, base_host = load_snapshot(args.base)
+    cand_label, cand, cand_host = load_snapshot(args.candidate)
+    check_same_host(base_label, base_host, cand_label, cand_host, args.force)
 
     print(f"base:      {base_label}")
     print(f"candidate: {cand_label}")

@@ -12,18 +12,31 @@
 /// two NCLs that mostly meet the *same* nodes wastes a slot, so after the
 /// first pick each candidate's marginal coverage is what counts.
 ///
+/// The greedy pass is evaluated lazily (CELF, Leskovec et al. 2007): the
+/// coverage gain is submodular, so a candidate's gain from an earlier pick
+/// bounds its current one, and only candidates that reach the top of a
+/// max-heap are re-evaluated. The picks — tie-breaks included — are those
+/// of the eager scan that re-scores every candidate at every pick (see
+/// lazyGreedyNcls in centrality.cpp for why the bound is bitwise). Cost:
+/// one pass over every row to seed the heap plus the re-evaluations,
+/// instead of k passes. Where the heap stops paying (small dense networks,
+/// where every pick re-scores nearly every candidate), the call finishes
+/// with the eager scan.
+///
 /// Sparse rate matrices (trace/pair_backend.hpp) get a sparse evaluation
 /// path throughout: capability sums and greedy coverage updates iterate a
-/// node's stored neighbors only, so centrality costs O(E + nk) instead of
-/// O(n²k). With a zero default (never-met) rate this is bit-identical to
-/// the dense evaluation — a never-met pair contributes exactly
-/// 1 − e⁰ = 0.0 to every sum and multiplies coverage by exactly 1.0, so
-/// skipping it cannot change any accumulation, comparison, or tie-break.
+/// node's stored neighbors only, so centrality costs about O(E + n log n)
+/// plus the re-evaluated rows instead of O(n²k). With a zero default
+/// (never-met) rate this is bit-identical to the dense evaluation — a
+/// never-met pair contributes exactly 1 − e⁰ = 0.0 to every sum and
+/// multiplies coverage by exactly 1.0, so skipping it cannot change any
+/// accumulation, comparison, or tie-break.
 /// A nonzero default rate keeps the sparse path correct (closed-form
 /// default contribution for capability, per-pair lookup for the greedy
 /// pass) but no longer byte-identical in association order.
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -45,6 +58,19 @@ std::vector<NodeId> selectTopCapability(const trace::RateMatrix& rates, sim::Sim
 /// structured networks where top-k piles into one community.
 std::vector<NodeId> selectNcls(const trace::RateMatrix& rates, sim::SimTime window,
                                std::size_t k);
+
+/// Reusable buffers of the lazy greedy NCL pass.
+struct NclGreedyScratch {
+  /// A heap entry: `gain` was evaluated after `round` picks had been made.
+  struct Candidate {
+    double gain;
+    NodeId id;
+    std::uint32_t round;
+  };
+  std::vector<double> notCovered;  ///< P(no chosen NCL meets j within T)
+  std::vector<char> isChosen;
+  std::vector<Candidate> heap;  ///< max-heap on (gain descending, id ascending)
+};
 
 /// Incrementally-maintained centrality inputs: the meeting-probability
 /// cache (dense triangle, or per-node sparse rows mirroring a sparse rate
@@ -109,8 +135,7 @@ class CentralityState {
   std::vector<std::vector<std::pair<NodeId, double>>> rowProbs_;
   std::vector<double> capability_;  ///< C_i(T), kept current per refresh
   std::vector<NodeId> ncls_;        ///< NCL set from the last selectNcls
-  std::vector<double> notCovered_;  ///< greedy scratch
-  std::vector<char> isChosen_;      ///< greedy scratch
+  NclGreedyScratch greedy_;  ///< kept so warm ticks do not allocate
   std::vector<NodeId> scratchNcls_;
   mutable std::vector<double> capScratch_;  ///< top-cap truncation scratch
 };

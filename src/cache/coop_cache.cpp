@@ -341,8 +341,9 @@ void CooperativeCache::handleContact(NodeId a, NodeId b, sim::SimTime t,
   // shard counts. On worker threads this reads only watermarks and bitsets
   // frozen since the last serial event at key < this contact's key, which is
   // exactly the state the classification is defined against.
+  const bool active = nodeProtocolActive(a, t) || nodeProtocolActive(b, t);
   if (ctrFenceContacts_ != nullptr) {
-    if (nodeProtocolActive(a, t) || nodeProtocolActive(b, t)) {
+    if (active) {
       ctrFenceContacts_->add();
     } else {
       ctrBoringContacts_->add();
@@ -364,6 +365,12 @@ void CooperativeCache::handleContact(NodeId a, NodeId b, sim::SimTime t,
                    {"need", handshakeHalf_});
     return;
   }
+
+  // Inert pair: a shardable scheme's onContact is a no-op here
+  // (RefreshScheme::shardable), and forwardBuffered returns at once on a
+  // buffer with no live message — so skip both. Most contacts of a large
+  // network take this exit.
+  if (!active && scheme_->shardable()) return;
 
   // Freshness maintenance gets priority on the contact's bytes: stale data
   // serves nobody, and the paper's schemes are all push-on-contact.

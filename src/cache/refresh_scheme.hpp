@@ -51,12 +51,17 @@ class RefreshScheme {
   virtual void onContact(CooperativeCache& cache, NodeId a, NodeId b, sim::SimTime t,
                          net::ContactChannel& channel) = 0;
 
-  /// Sharded-kernel contract (runner/shard_driver): a scheme is shardable
-  /// when onContact neither writes shared state nor reads the estimator
-  /// whenever *neither* endpoint is active — holds cached copies, buffers
-  /// messages, is a source, or satisfies contactActive(). Invalidation
+  /// Inert-contact contract: a scheme is shardable when onContact is a
+  /// no-op — writes no state, moves no bytes, bumps no counter, emits no
+  /// event, reads no estimator — whenever *neither* endpoint is active
+  /// (CooperativeCache::nodeProtocolActive: holds unexpired cached copies,
+  /// buffers live messages, is a source, or satisfies contactActive()).
+  /// Two callers rely on it: CooperativeCache::handleContact skips
+  /// onContact for such pairs on the serial path, and the sharded kernel
+  /// (runner/shard_driver) runs them on worker threads. Invalidation
   /// gossips version vectors on every contact regardless of activity, so it
-  /// opts out and always runs on the plain single-threaded path.
+  /// opts out: every contact reaches its onContact, on the plain
+  /// single-threaded kernel.
   virtual bool shardable() const { return true; }
 
   /// Scheme-specific half of the driver's activity predicate: true when the

@@ -20,8 +20,14 @@ ContactRateEstimator::ContactRateEstimator(std::size_t nodeCount, EstimatorConfi
   if (sparse_) {
     nodeNbrs_.resize(nodeCount);
   } else {
+    // Pair state, a recent-contact row in sliding-window mode, two bits.
+    const bool sliding = config.mode == EstimatorMode::kSlidingWindow;
+    checkDenseTriangleFits(
+        nodeCount,
+        sizeof(PairState) + (sliding ? sizeof(recent_[0]) : 0) + 2.0 / 8.0,
+        "ContactRateEstimator");
     pairs_.resize(triangleCount());
-    if (config.mode == EstimatorMode::kSlidingWindow) recent_.resize(pairs_.size());
+    if (sliding) recent_.resize(pairs_.size());
     dirtyBits_ = core::DenseBitset(pairs_.size());
     varyingBits_ = core::DenseBitset(pairs_.size());
   }

@@ -72,6 +72,9 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
           w = rateRng.paretoTruncated(1.0, config.paretoShape, config.rateSpread);
           if (out.community[i] == out.community[j]) w *= config.intraCommunityBoost;
           break;
+        case RateModel::kMobilityCommunity:
+        case RateModel::kMobilityPowerLaw:
+          break;  // streamed by SyntheticMobility above; never reaches here
       }
       weights.push_back(w);
     }

@@ -67,4 +67,11 @@ inline bool useSparsePairs(std::size_t nodeCount, PairBackend requested) {
   return nodeCount > kDensePairNodeThreshold;
 }
 
+/// Refuse a dense triangle that cannot exist: throws std::length_error —
+/// naming `what`, the node count and the sparse backend — when n(n-1)/2
+/// entries of `bytesPerPair` bytes exceed the host's physical memory.
+/// Every dense pair structure calls this before it allocates, so an
+/// impossible configuration fails with a message instead of bad_alloc.
+void checkDenseTriangleFits(std::size_t nodeCount, double bytesPerPair, const char* what);
+
 }  // namespace dtncache::trace

@@ -76,6 +76,7 @@ class RateMatrix {
     } else {
       DTNCACHE_CHECK_MSG(defaultRate == 0.0,
                          "dense RateMatrix supports only defaultRate == 0");
+      checkDenseTriangleFits(n, sizeof(double), "RateMatrix");
       rates_.assign(n >= 2 ? n * (n - 1) / 2 : 0, 0.0);
     }
   }

@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baselines/baselines.hpp"
+#include "core/hierarchical_scheme.hpp"
 #include "data/source.hpp"
 #include "net/network.hpp"
+#include "obs/registry.hpp"
+#include "obs/tracer.hpp"
 #include "sim/simulator.hpp"
 
 namespace dtncache::cache {
@@ -367,6 +377,172 @@ TEST(CoopCache, CachingSetSizeMustLeaveRoomForSource) {
   EXPECT_THROW(CooperativeCache(simulator, network, catalog, estimator, collector,
                                 Rig::planningRates(), cfg),
                InvariantViolation);
+}
+
+// ---- Inert contacts ---------------------------------------------------------
+
+/// Counts onContact calls; shardable or not as asked.
+class CountingScheme : public RefreshScheme {
+ public:
+  explicit CountingScheme(bool shardable) : shardable_(shardable) {}
+  std::string name() const override { return "Counting"; }
+  void onContact(CooperativeCache&, NodeId, NodeId, sim::SimTime,
+                 net::ContactChannel&) override {
+    ++calls;
+  }
+  bool shardable() const override { return shardable_; }
+  int calls = 0;
+
+ private:
+  bool shardable_;
+};
+
+TEST(CoopCache, InertContactSkipsShardableSchemeOnly) {
+  // Cold start: only the source (node 0) holds anything, so 2-3 is inert
+  // and 0-1 is not.
+  for (const bool shardable : {true, false}) {
+    Rig rig({{10.0, 5.0, 2, 3}, {20.0, 5.0, 0, 1}}, /*warmStart=*/false);
+    CountingScheme scheme(shardable);
+    rig.start(scheme, 30.0);
+    rig.run();
+    EXPECT_EQ(scheme.calls, shardable ? 1 : 2) << "shardable=" << shardable;
+    EXPECT_EQ(rig.network.transfers().of(net::Traffic::kControl).messages, 4u);
+  }
+}
+
+/// What a cold-start rig has done so far, for before/after comparisons.
+struct RunOutcome {
+  std::map<std::string, std::uint64_t> counters;
+  std::size_t events = 0;
+  net::TrafficCounters control;
+  std::uint64_t otherBytes = 0;  ///< every category but control
+  std::vector<std::size_t> storeSizes;
+  std::vector<std::size_t> bufferSizes;
+  double rate23 = 0.0;  ///< estimator λ(2, 3)
+};
+
+/// A cold-start rig with a tracer and registry attached to the cache (and
+/// to the scheme, when it takes them). Nodes 1-3 hold nothing.
+struct ObservedRig {
+  ObservedRig(std::vector<trace::Contact> contacts, RefreshScheme& scheme)
+      : rig(std::move(contacts), /*warmStart=*/false) {
+    rig.coop.setObservability(&tracer, &registry);
+    if (auto* h = dynamic_cast<core::HierarchicalRefreshScheme*>(&scheme))
+      h->setObservability(&tracer, &registry);
+    rig.start(scheme, 60.0);
+  }
+
+  RunOutcome observe(sim::SimTime t) const {
+    RunOutcome out;
+    for (const auto& [name, value] : registry.counterSnapshot()) out.counters[name] = value;
+    // Allocation-hook builds only: the estimator's first sight of a pair
+    // allocates, which this diagnostic counts — not protocol state.
+    out.counters.erase("cache.hot_path.allocs");
+    out.events = tracer.eventCount();
+    out.control = rig.network.transfers().of(net::Traffic::kControl);
+    out.otherBytes = rig.network.transfers().total().bytes - out.control.bytes;
+    for (NodeId n = 0; n < 4; ++n) {
+      out.storeSizes.push_back(rig.coop.storeOf(n).size());
+      out.bufferSizes.push_back(rig.coop.bufferOf(n).size());
+    }
+    out.rate23 = rig.estimator.rate(2, 3, t);
+    return out;
+  }
+
+  obs::Tracer tracer{"inert"};
+  obs::Registry registry;
+  Rig rig;
+};
+
+/// Every shardable scheme the library ships, plus this file's PushAlways.
+std::vector<std::pair<std::string, std::function<std::unique_ptr<RefreshScheme>()>>>
+shardableSchemes() {
+  return {
+      {"NoRefresh", [] { return std::make_unique<baselines::NoRefreshScheme>(); }},
+      {"SourceDirect", [] { return std::make_unique<baselines::SourceDirectScheme>(); }},
+      {"Epidemic", [] { return std::make_unique<baselines::EpidemicScheme>(); }},
+      {"Flooding", [] { return std::make_unique<baselines::FloodingScheme>(); }},
+      {"Pull", [] { return std::make_unique<baselines::PullScheme>(); }},
+      {"Hierarchical",
+       [] { return std::make_unique<core::HierarchicalRefreshScheme>(core::HierarchicalConfig{}); }},
+      {"PushAlways", [] { return std::make_unique<PushAlwaysScheme>(); }},
+  };
+}
+
+TEST(CoopCache, InertContactChangesOnlyEstimatorAndHandshake) {
+  // For every shardable scheme, a contact between two nodes that hold
+  // nothing records the meeting in the estimator and pays the handshake,
+  // and does nothing else: no other counter, byte, trace event, cached
+  // copy or buffered message.
+  for (const auto& [name, make] : shardableSchemes()) {
+    const auto withScheme = make();
+    const auto withoutScheme = make();
+    ASSERT_TRUE(withScheme->shardable()) << name;
+    ObservedRig withRig({{10.0, 5.0, 2, 3}}, *withScheme);
+    ObservedRig withoutRig({}, *withoutScheme);
+    withRig.rig.run();
+    withoutRig.rig.run();
+    const RunOutcome with = withRig.observe(60.0);
+    const RunOutcome without = withoutRig.observe(60.0);
+
+    auto expected = without.counters;
+    ++expected["shard.boring_contacts"];
+    EXPECT_EQ(with.counters, expected) << name;
+    EXPECT_EQ(with.events, without.events) << name;
+    EXPECT_EQ(with.control.messages, without.control.messages + 2) << name;
+    EXPECT_GT(with.control.bytes, without.control.bytes) << name;
+    EXPECT_EQ(with.otherBytes, without.otherBytes) << name;
+    EXPECT_EQ(with.storeSizes, without.storeSizes) << name;
+    EXPECT_EQ(with.bufferSizes, without.bufferSizes) << name;
+    EXPECT_GT(with.rate23, 0.0) << name;
+    EXPECT_EQ(without.rate23, 0.0) << name;
+  }
+}
+
+TEST(CoopCache, ShardableOnContactIsNoOpForInertPair) {
+  // The premise of the fast path, checked on the schemes themselves: called
+  // directly for an inert pair, a shardable scheme's onContact moves no
+  // byte and changes nothing observable.
+  for (const auto& [name, make] : shardableSchemes()) {
+    const auto scheme = make();
+    ObservedRig observed({}, *scheme);
+    observed.rig.simulator.runUntil(10.0);
+    ASSERT_FALSE(observed.rig.coop.nodeProtocolActive(2, 10.0)) << name;
+    ASSERT_FALSE(observed.rig.coop.nodeProtocolActive(3, 10.0)) << name;
+    const RunOutcome before = observed.observe(10.0);
+    net::TransferLog log(4);
+    net::ContactChannel channel(1u << 20, log, 2, 3);
+    scheme->onContact(observed.rig.coop, 2, 3, 10.0, channel);
+    const RunOutcome after = observed.observe(10.0);
+    EXPECT_EQ(log.total().messages, 0u) << name;
+    EXPECT_EQ(after.counters, before.counters) << name;
+    EXPECT_EQ(after.events, before.events) << name;
+    EXPECT_EQ(after.storeSizes, before.storeSizes) << name;
+    EXPECT_EQ(after.bufferSizes, before.bufferSizes) << name;
+  }
+}
+
+TEST(CoopCache, InvalidationStillGossipsOnInertContacts) {
+  // Node 3 hears version 1 from the source at t=150 but stores and buffers
+  // nothing; member 2 holds nothing either (cold start). Their t=160
+  // contact is inert, yet Invalidation must merge the version vectors —
+  // it is not shardable, so the fast path must not skip it.
+  for (const bool meet : {true, false}) {
+    std::vector<trace::Contact> contacts{{150.0, 5.0, 0, 3}};
+    if (meet) contacts.push_back({160.0, 5.0, 2, 3});
+    Rig rig(std::move(contacts), /*warmStart=*/false);
+    baselines::InvalidationScheme scheme;
+    rig.start(scheme, 170.0);
+    bool inert = false;
+    rig.simulator.scheduleAt(155.0, [&](sim::SimTime t) {
+      inert = !rig.coop.nodeProtocolActive(2, t) && !rig.coop.nodeProtocolActive(3, t);
+    });
+    rig.run();
+    EXPECT_TRUE(inert);
+    EXPECT_EQ(scheme.knownVersion(3, 0), 1u);
+    EXPECT_EQ(scheme.knownVersion(2, 0), meet ? 1u : 0u);
+    EXPECT_EQ(scheme.pullsIssued(), meet ? 1u : 0u);  // member 2 now asks the source
+  }
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/rng.hpp"
+#include "trace/estimator.hpp"
 
 namespace dtncache::trace {
 namespace {
@@ -141,6 +144,29 @@ TEST(RateMatrix, BulkBuildRejectsBadPairs) {
     EXPECT_THROW(RateMatrix::fromPairs(4, outOfRange, backend), InvariantViolation);
     EXPECT_THROW(RateMatrix::fromPairs(4, negative, backend), InvariantViolation);
   }
+}
+
+TEST(RateMatrix, ImpossibleDenseTriangleFailsWithMessage) {
+  // 2^24 nodes: a dense triangle of doubles is ~1 PiB, larger than any
+  // host. Both dense pair structures must refuse up front with a message
+  // that names the node count and the way out, not die in bad_alloc.
+  constexpr std::size_t kNodes = std::size_t{1} << 24;
+  try {
+    const RateMatrix m(kNodes, PairBackend::kDense);
+    ADD_FAILURE() << "a " << kNodes << "-node dense RateMatrix was allocated";
+  } catch (const std::length_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("RateMatrix"), std::string::npos) << what;
+    EXPECT_NE(what.find("16777216 nodes"), std::string::npos) << what;
+    EXPECT_NE(what.find("sparse pair backend"), std::string::npos) << what;
+  }
+  EstimatorConfig cfg;
+  cfg.backend = PairBackend::kDense;
+  EXPECT_THROW(ContactRateEstimator(kNodes, cfg, 0.0), std::length_error);
+  cfg.mode = EstimatorMode::kSlidingWindow;
+  EXPECT_THROW(ContactRateEstimator(kNodes, cfg, 0.0), std::length_error);
+  // Paper-scale triangles pass the check.
+  EXPECT_NO_THROW(checkDenseTriangleFits(kDensePairNodeThreshold, sizeof(double), "x"));
 }
 
 }  // namespace
