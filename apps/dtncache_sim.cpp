@@ -98,7 +98,14 @@ int main(int argc, char** argv) {
   // plain invocation every flag (or its default) applies.
   runner::ExperimentConfig config;
   const bool fromConfig = !configFile.empty();
-  if (fromConfig) config = runner::loadConfigFile(configFile);
+  if (fromConfig) {
+    try {
+      config = runner::loadConfigFile(configFile);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 2;
+    }
+  }
   const auto applies = [&](const char* flag) { return !fromConfig || args.provided(flag); };
 
   if (applies("--scheme")) {

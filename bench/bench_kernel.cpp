@@ -298,24 +298,15 @@ Metrics benchStoreLookup(std::size_t items, std::size_t rounds, int reps) {
   return m;
 }
 
-/// True while the full-recompute escape hatch is requested: the maintenance
-/// benches honour the same switch the scheme itself reads, so running this
-/// binary under DTNCACHE_FULL_MAINTENANCE=1 reproduces the pre-incremental
-/// cost model (the recorded `pr4-maint-before` baseline).
-bool fullMaintenanceEnv() {
-  const char* env = std::getenv("DTNCACHE_FULL_MAINTENANCE");
-  return env != nullptr && env[0] != '\0';
-}
-
 /// Replication planning throughput (hypoexponential-heavy hot loop).
 /// Rates are sparse enough that most members miss θ through the chain
 /// alone, so the helper-candidate loop (the expensive part) actually runs.
 /// `cached` measures the maintenance steady state introduced with the plan
 /// cache: one keyed probe plus an assignment-log replay per evaluation
 /// instead of a full re-plan (iters are scaled up accordingly, since a
-/// cached evaluation is ~1000x cheaper). With `cached` false — or under
-/// DTNCACHE_FULL_MAINTENANCE — every iteration re-plans from scratch,
-/// which is exactly what every maintenance tick paid before the cache.
+/// cached evaluation is ~1000x cheaper). With `cached` false every
+/// iteration re-plans from scratch, which is exactly what every
+/// maintenance tick paid before the cache.
 Metrics benchPlanReplication(NodeId members, int iters, bool cached) {
   sim::Rng rng(11);
   trace::RateMatrix rates(members + 1);
@@ -331,7 +322,6 @@ Metrics benchPlanReplication(NodeId members, int iters, bool cached) {
   core::ReplicationConfig rcfg;
   rcfg.theta = 0.95;
 
-  cached = cached && !fullMaintenanceEnv();
   if (cached) iters *= 10'000;
 
   core::PlanCache cache;
@@ -366,9 +356,7 @@ Metrics benchPlanReplication(NodeId members, int iters, bool cached) {
 
 /// Estimator snapshot cost in the maintenance steady state: a warm EWMA
 /// estimator absorbs a handful of contacts per tick, then re-materializes
-/// its RateMatrix. Incremental snapshots rewrite only the touched rows;
-/// under DTNCACHE_FULL_MAINTENANCE every snapshot rewrites all O(N^2)
-/// pairs (the pre-incremental cost).
+/// its RateMatrix. Incremental snapshots rewrite only the touched rows.
 Metrics benchEstimatorSnapshot(NodeId nodes, std::size_t contactsPerTick,
                                std::size_t snapshots) {
   trace::EstimatorConfig ecfg;
@@ -385,7 +373,6 @@ Metrics benchEstimatorSnapshot(NodeId nodes, std::size_t contactsPerTick,
   sim::SimTime now = sim::days(1);
   est.snapshotInto(m, now);  // prime
 
-  const bool force = fullMaintenanceEnv();
   std::uint64_t s = 17;
   std::size_t changed = 0;
   const auto t0 = Clock::now();
@@ -397,7 +384,7 @@ Metrics benchEstimatorSnapshot(NodeId nodes, std::size_t contactsPerTick,
       est.recordContact(a, b, now);
     }
     now += sim::minutes(10);
-    changed += est.snapshotInto(m, now, nullptr, force).changedPairs;
+    changed += est.snapshotInto(m, now).changedPairs;
   }
   const double secs = recordRep(secondsSince(t0));
   Metrics out;
@@ -411,8 +398,7 @@ Metrics benchEstimatorSnapshot(NodeId nodes, std::size_t contactsPerTick,
 /// trace with frequent ticks, so wall-clock is dominated by periodic
 /// maintenance (snapshot + NCL check + per-item skip/rebuild/replan). The
 /// warm EWMA estimator and sparse contacts make most (item, tick)
-/// evaluations reusable; under DTNCACHE_FULL_MAINTENANCE every tick
-/// re-snapshots and rebuilds every item — the pre-incremental cost.
+/// evaluations reusable.
 Metrics benchMaintenanceTick(bool quick, int reps) {
   const NodeId nodes = 56;
   const sim::SimTime duration = quick ? sim::days(5) : sim::days(15);

@@ -1,7 +1,6 @@
 #include "cache/centrality.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 
 #include "sim/assert.hpp"
@@ -199,19 +198,7 @@ void CentralityState::rebuildRow(NodeId i, const trace::RateMatrix& rates,
 double CentralityState::rowCapability(NodeId i) const {
   const auto& row = rowProbs_[i];
   double sum = 0.0;
-  if (neighborCap_ > 0 && row.size() > neighborCap_) {
-    // Truncated sum: the cap highest probabilities, added in descending
-    // order (deterministic — equal values commute bit-exactly).
-    capScratch_.clear();
-    for (const auto& e : row) capScratch_.push_back(e.second);
-    std::nth_element(capScratch_.begin(), capScratch_.begin() + neighborCap_,
-                     capScratch_.end(), std::greater<double>());
-    std::sort(capScratch_.begin(), capScratch_.begin() + neighborCap_,
-              std::greater<double>());
-    for (std::size_t t = 0; t < neighborCap_; ++t) sum += capScratch_[t];
-  } else {
-    for (const auto& e : row) sum += e.second;
-  }
+  for (const auto& e : row) sum += e.second;
   if (defaultP_ > 0.0)
     sum += defaultP_ * static_cast<double>(n_ - 1 - row.size());
   return n_ > 1 ? sum / static_cast<double>(n_ - 1) : 0.0;

@@ -90,22 +90,6 @@ class CentralityState {
   /// Force a full re-derivation on the next incremental call.
   void invalidate() { primed_ = false; }
 
-  /// Approximation knob for very large sparse networks: when nonzero, a
-  /// node's capability sums only its `cap` highest meeting probabilities
-  /// (descending order, deterministic) instead of its whole neighbor row.
-  /// Hub rows in power-law contact graphs hold most of the row mass in the
-  /// head, so a few hundred terms recover the ranking at a fraction of the
-  /// cost. Applies to the sparse row cache only (the dense triangle has no
-  /// long rows to truncate) and never to the greedy coverage pass, which
-  /// stays exact. 0 (default) = exact sums. Changing the cap invalidates.
-  void setNeighborCap(std::size_t cap) {
-    if (cap != neighborCap_) {
-      neighborCap_ = cap;
-      primed_ = false;
-    }
-  }
-  std::size_t neighborCap() const { return neighborCap_; }
-
  private:
   friend const std::vector<double>& contactCapability(
       CentralityState& state, const trace::RateMatrix& rates, sim::SimTime window,
@@ -129,7 +113,6 @@ class CentralityState {
   bool primed_ = false;
   bool sparse_ = false;      ///< mirrors the source matrix's backend
   double defaultP_ = 0.0;    ///< sparse: P for never-stored pairs
-  std::size_t neighborCap_ = 0;
   std::vector<double> probs_;  ///< dense: upper-triangular P(i meets j in T)
   /// Sparse: per node, ascending (j, P(i meets j in T)) for stored pairs.
   std::vector<std::vector<std::pair<NodeId, double>>> rowProbs_;
@@ -137,7 +120,6 @@ class CentralityState {
   std::vector<NodeId> ncls_;        ///< NCL set from the last selectNcls
   NclGreedyScratch greedy_;  ///< kept so warm ticks do not allocate
   std::vector<NodeId> scratchNcls_;
-  mutable std::vector<double> capScratch_;  ///< top-cap truncation scratch
 };
 
 /// Incremental C_i(T): refresh the cached probabilities/capabilities for

@@ -1,7 +1,6 @@
 #include "core/hierarchical_scheme.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "core/freshness.hpp"
 #include "sim/assert.hpp"
@@ -33,10 +32,6 @@ HierarchicalRefreshScheme::HierarchicalRefreshScheme(HierarchicalConfig config,
     : config_(config), oracleRates_(oracleRates) {
   DTNCACHE_CHECK_MSG(!config_.useOracleRates || oracleRates_ != nullptr,
                      "useOracleRates requires an oracle rate matrix");
-  fullMaintenance_ = config_.fullMaintenance;
-  if (const char* env = std::getenv("DTNCACHE_FULL_MAINTENANCE");
-      env != nullptr && env[0] != '\0')
-    fullMaintenance_ = true;
 }
 
 void HierarchicalRefreshScheme::setObservability(obs::Tracer* tracer,
@@ -163,9 +158,10 @@ void HierarchicalRefreshScheme::refreshRateState(cache::CooperativeCache& cache,
   planningLive_ = false;
   // Under the escape hatch, force the full matrix rewrite: values, stats
   // and changed-row reporting are identical by construction, so the
-  // sweep-identity CI diff cross-checks the estimator's incremental path.
+  // full-vs-incremental sweep test cross-checks the estimator's
+  // incremental path.
   *stats = est.snapshotInto(rateSnapshot_, t, &changedNodes_,
-                            /*force=*/fullMaintenance_);
+                            /*force=*/config_.fullMaintenance);
   if (stats->changedPairs > 0) {
     ++rateVersion_;
     for (const NodeId nd : changedNodes_) rowVersion_[nd] = rateVersion_;
@@ -268,7 +264,7 @@ void HierarchicalRefreshScheme::maintainItem(cache::CooperativeCache& cache,
     ++planCacheHits_;
     if (ctrPlanCacheHits_ != nullptr) ctrPlanCacheHits_->add();
     ++skipped;
-    if (!fullMaintenance_) {
+    if (!config_.fullMaintenance) {
       // Incremental fast path: the tree is untouched and the cached plan is
       // replayed — events and counters exactly as a recompute would emit.
       replayPlan(item, t, *hit);
@@ -279,7 +275,7 @@ void HierarchicalRefreshScheme::maintainItem(cache::CooperativeCache& cache,
   // Recompute: an incremental miss, or the full-maintenance escape hatch
   // (which recomputes even on a hit, then verifies the cache was right).
   ReplicationPlan cachedCopy;
-  const bool verify = fullMaintenance_ && hit != nullptr;
+  const bool verify = config_.fullMaintenance && hit != nullptr;
   if (verify) cachedCopy = *hit;  // `hit` dangles once replan restores
   switch (config_.maintenance) {
     case MaintenanceMode::kRebuild:
@@ -341,7 +337,6 @@ void HierarchicalRefreshScheme::onStart(cache::CooperativeCache& cache) {
   haveMaintState_.assign(items, 0);
   rowVersion_.assign(cache.nodeCount(), 0);
   rateVersion_ = 0;
-  centrality_.setNeighborCap(config_.centralityNeighborCap);
   centrality_.invalidate();
 
   // Dependency rows per item: the caching set plus the source. Fixed for

@@ -50,13 +50,6 @@ struct HierarchicalConfig {
   /// Plan from the true rate matrix instead of the estimator (F9 oracle arm).
   bool useOracleRates = false;
 
-  /// Large-N approximation knob, forwarded to
-  /// cache::CentralityState::setNeighborCap: when nonzero, capability sums
-  /// over a sparse rate snapshot truncate to each node's `cap` highest
-  /// meeting probabilities. 0 (default) = exact sums (and byte-identical
-  /// outputs across pair-state backends).
-  std::size_t centralityNeighborCap = 0;
-
   /// Relay-assisted delivery: a responsible node that meets a better
   /// carrier toward its (absent) target hands it a bounded number of
   /// refresh copies, which travel store-carry-forward like any DTN message.
@@ -83,8 +76,7 @@ struct HierarchicalConfig {
   /// stats, skip decisions, and cache probes are still evaluated, and when
   /// a tick *would* have been skipped the recomputed result is checked
   /// against the cached one, so the two paths stay byte-identical in every
-  /// output and counter and CI can diff them. Also enabled by setting the
-  /// DTNCACHE_FULL_MAINTENANCE environment variable to any non-empty value.
+  /// output and counter and tests/sweep/sweep_engine_test can diff them.
   /// Deliberately not a config_io key: fingerprints must match across paths.
   bool fullMaintenance = false;
 };
@@ -159,8 +151,8 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   std::size_t planCacheHits() const { return planCacheHits_; }
   /// (item, tick) maintenance evaluations skipped outright.
   std::size_t itemsSkipped() const { return skippedItems_; }
-  /// Whether the full-recompute escape hatch is active (config or env var).
-  bool fullMaintenanceActive() const { return fullMaintenance_; }
+  /// Whether the full-recompute escape hatch is active.
+  bool fullMaintenanceActive() const { return config_.fullMaintenance; }
 
  private:
   /// Rate function for periodic planning: reads the maintained snapshot
@@ -265,7 +257,6 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   std::vector<std::uint64_t> lastMaintDep_;
   std::vector<std::uint64_t> lastMaintRev_;
   std::vector<char> haveMaintState_;
-  bool fullMaintenance_ = false;
   /// (item, target, version) → relay copies already injected. Flat-store
   /// pattern: the packed key indexes a dense count vector through the
   /// open-addressing index (one probe per relay evaluation, no hash-map

@@ -95,7 +95,6 @@ void bindAll(const FieldBinder& b, ExperimentConfig& c) {
        {core::MaintenanceMode::kStatic, "static"}});
   b.numeric("hierarchical.maintenancePeriodSeconds", c.hierarchical.maintenancePeriod);
   b.boolean("hierarchical.useOracleRates", c.hierarchical.useOracleRates);
-  b.numeric("hierarchical.centralityNeighborCap", c.hierarchical.centralityNeighborCap);
   b.boolean("hierarchical.relayAssisted", c.hierarchical.relayAssisted);
   b.numeric("hierarchical.relayCopiesPerVersion", c.hierarchical.relayCopiesPerVersion);
   // churn + energy

@@ -15,9 +15,13 @@
 /// distance ("unknown config key 'cache.warmStarts'; did you mean
 /// 'cache.warmStart'?") instead of silently running the defaults.
 
+#include <cmath>
+#include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -64,6 +68,14 @@ struct FieldBinder {
       const double v = std::get<double>(it->second);
       if constexpr (std::is_integral_v<T>) {
         DTNCACHE_CHECK_MSG(integral(v), "key '" << key << "' must be integral");
+        // Casting an out-of-range double is undefined behaviour. 2^digits
+        // is exact in a double; the largest value of a 64-bit T is not.
+        using Limits = std::numeric_limits<T>;
+        const bool inRange =
+            v >= static_cast<double>(Limits::min()) && v < std::ldexp(1.0, Limits::digits);
+        DTNCACHE_CHECK_MSG(inRange, "key '" << key << "' must be in [" << +Limits::min()
+                                            << ", " << +Limits::max() << "], got "
+                                            << std::fixed << std::setprecision(0) << v);
       }
       field = static_cast<T>(v);
     }

@@ -44,7 +44,7 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
   const std::size_t n = config.nodeCount;
 
   SyntheticTrace out;
-  out.rates = RateMatrix(n);
+  out.rates = RateMatrix(n, config.backend);
 
   // Community assignment: round-robin gives equal-sized communities, which
   // keeps the preset reproducible without another random process.

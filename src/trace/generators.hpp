@@ -83,6 +83,11 @@ struct SyntheticTraceConfig {
 
   std::uint64_t seed = 1;
 
+  /// Storage of the generated rate matrix (trace/pair_backend.hpp). Not a
+  /// config key: both backends hold the same rates, so fingerprints stay
+  /// equal. The mobility models always build a sparse matrix.
+  PairBackend backend = PairBackend::kAuto;
+
   /// Field-wise: equal configs generate identical traces (the trace memo's
   /// key); the ordering lets sweep dispatch group jobs by config.
   auto operator<=>(const SyntheticTraceConfig&) const = default;

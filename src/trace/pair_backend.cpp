@@ -32,8 +32,7 @@ void checkDenseTriangleFits(std::size_t nodeCount, double bytesPerPair, const ch
      << nodeCount << " nodes needs " << bytes / kGiB << " GiB, more than this host's "
      << physical / kGiB
      << " GiB of physical memory; use the sparse pair backend "
-        "(PairBackend::kSparse, or leave DTNCACHE_SPARSE_PAIRS unset so it is "
-        "chosen above "
+        "(PairBackend::kSparse, or PairBackend::kAuto, which chooses it above "
      << kDensePairNodeThreshold << " nodes)";
   throw std::length_error(os.str());
 }

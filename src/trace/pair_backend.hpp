@@ -18,12 +18,12 @@
 /// kAuto picks dense below densePairNodeThreshold() nodes and sparse above,
 /// so existing small-N experiments keep their exact dense code path (and
 /// byte-identical output) while large-N scenarios never allocate a
-/// triangle. The DTNCACHE_SPARSE_PAIRS environment variable overrides the
-/// choice process-wide ("0" or "dense" forces dense, any other non-empty
-/// value forces sparse); CI uses it to assert that forced-sparse small-N
-/// sweeps are byte-identical to the default dense run, the same discipline
-/// as the jobs=1-vs-4 and DTNCACHE_FULL_MAINTENANCE checks. Deliberately
-/// not a config key: run fingerprints must match across backends.
+/// triangle. A run forces a backend through two fields that are
+/// deliberately not config keys, so run fingerprints match across
+/// backends: SyntheticTraceConfig::backend (the generated rate matrix) and
+/// EstimatorConfig::backend (the estimator's pair table and snapshots).
+/// tests/sweep/sweep_engine_test forces the sparse backend onto a small-N
+/// sweep and requires it to be byte-identical to the default dense run.
 ///
 /// Equivalence contract (enforced by tests/trace/sparse_equivalence_test):
 /// with a default (never-met) rate of exactly 0.0 every derived quantity —
@@ -36,7 +36,6 @@
 /// prior, so all committed outputs stay byte-stable.
 
 #include <cstddef>
-#include <cstdlib>
 
 namespace dtncache::trace {
 
@@ -45,25 +44,10 @@ enum class PairBackend { kAuto, kDense, kSparse };
 /// Node count at and below which kAuto chooses the dense triangle.
 inline constexpr std::size_t kDensePairNodeThreshold = 1024;
 
-/// Process-wide override from DTNCACHE_SPARSE_PAIRS (unset -> kAuto).
-inline PairBackend pairBackendOverride() {
-  static const PairBackend value = [] {
-    const char* env = std::getenv("DTNCACHE_SPARSE_PAIRS");
-    if (env == nullptr || env[0] == '\0') return PairBackend::kAuto;
-    if ((env[0] == '0' && env[1] == '\0') ||
-        (env[0] == 'd' || env[0] == 'D'))
-      return PairBackend::kDense;
-    return PairBackend::kSparse;
-  }();
-  return value;
-}
-
-/// Resolve a requested backend for an n-node structure: explicit request
-/// wins, then the environment override, then the size threshold.
+/// Resolve a requested backend for an n-node structure: an explicit
+/// request wins, kAuto goes by the size threshold.
 inline bool useSparsePairs(std::size_t nodeCount, PairBackend requested) {
   if (requested != PairBackend::kAuto) return requested == PairBackend::kSparse;
-  const PairBackend env = pairBackendOverride();
-  if (env != PairBackend::kAuto) return env == PairBackend::kSparse;
   return nodeCount > kDensePairNodeThreshold;
 }
 

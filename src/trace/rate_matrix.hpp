@@ -61,7 +61,7 @@ class RateMatrix {
   RateMatrix() = default;
 
   /// Auto-selected backend (dense at paper scale, sparse above the
-  /// threshold or under the DTNCACHE_SPARSE_PAIRS override). n == 0 and
+  /// threshold). n == 0 and
   /// n == 1 are valid degenerate matrices with no pairs.
   explicit RateMatrix(std::size_t n) : RateMatrix(n, PairBackend::kAuto) {}
 

@@ -3,10 +3,9 @@
 /// Every test here runs the same experiment twice — once with the
 /// incremental fast paths (dirty-pair snapshots, maintenance-skip
 /// decisions, plan-cache replay) and once under the full-recompute escape
-/// hatch (HierarchicalConfig::fullMaintenance, the programmatic equivalent
-/// of DTNCACHE_FULL_MAINTENANCE=1) — and requires the two runs to be
-/// observationally identical: same metrics, same traffic, same counters,
-/// and the same structured event trace, byte for byte. The escape hatch
+/// hatch (HierarchicalConfig::fullMaintenance) — and requires the two
+/// runs to be observationally identical: same metrics, same traffic, same
+/// counters, and the same structured event trace, byte for byte. The escape hatch
 /// additionally cross-checks every plan-cache hit against a fresh
 /// recompute internally, so a pass here certifies both directions.
 

@@ -117,6 +117,41 @@ TEST(ConfigIo, NonIntegralIntegerRejected) {
   EXPECT_THROW(loadConfig(R"({"catalog.itemCount": 4.5})"), InvariantViolation);
 }
 
+TEST(ConfigIo, OutOfRangeIntegerRejectedWithKey) {
+  // Each value is integral but does not fit its field's type.
+  const std::pair<const char*, const char*> cases[] = {
+      {"hierarchical.relayCopiesPerVersion", "-1"},          // std::uint32_t
+      {"hierarchical.relayCopiesPerVersion", "4294967296"},  // 2^32
+      {"sim.shards", "-1"},                                  // std::size_t
+      {"sim.shards", "18446744073709551616"},                // 2^64
+      {"catalog.itemCount", "-1"},
+      {"seed", "1e30"},
+  };
+  for (const auto& [key, value] : cases) {
+    const std::string json = std::string("{\"") + key + "\": " + value + "}";
+    try {
+      loadConfig(json);
+      ADD_FAILURE() << "accepted " << json;
+    } catch (const InvariantViolation& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(std::string("key '") + key + "'"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find("must be in ["), std::string::npos) << message;
+    }
+    ExperimentConfig config;
+    EXPECT_THROW(applyConfigJson(config, json), InvariantViolation) << json;
+  }
+}
+
+TEST(ConfigIo, IntegerRangeEndpointsAccepted) {
+  const auto c = loadConfig(
+      R"({"hierarchical.relayCopiesPerVersion": 4294967295, "sim.shards": 0, )"
+      R"("seed": 9007199254740992})");
+  EXPECT_EQ(c.hierarchical.relayCopiesPerVersion, 4294967295u);
+  EXPECT_EQ(c.shards, 0u);
+  EXPECT_EQ(c.seed, 9007199254740992u);
+}
+
 TEST(ConfigIo, UnknownEnumValueRejected) {
   EXPECT_THROW(loadConfig(R"({"scheme": "telepathy"})"), InvariantViolation);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <regex>
 #include <sstream>
 
 #include "runner/replicate.hpp"
@@ -194,6 +195,106 @@ TEST(SweepEngine, EachSeedsTracesAreGeneratedOnce) {
   EXPECT_EQ(stats.hits, 64u * 2 - 32u);
   EXPECT_EQ(std::count(parallel.begin(), parallel.end(), '\n'), 64);
   EXPECT_EQ(serial, parallel);
+}
+
+/// The `dtncache_sweep --trace=infocom --days=2` base grid with two seeds.
+SweepGrid infocomTwoDayGrid() {
+  SweepGrid grid;
+  grid.base.trace = trace::infocomLikeConfig();
+  grid.base.trace.duration = sim::days(2);
+  grid.base.catalog.refreshPeriod = sim::hours(6);
+  grid.base.workload.queriesPerNodePerDay = 2.0;
+  grid.base.workload.queryDeadline = sim::hours(3);
+  grid.seeds = {grid.base.seed, grid.base.seed + 1};
+  return grid;
+}
+
+/// Everything a sweep writes: JSONL and CSV (wall clock off) and the
+/// merged event trace.
+struct SweepBytes {
+  std::string jsonl;
+  std::string csv;
+  std::string trace;
+};
+
+SweepBytes runAllSinks(const SweepGrid& grid, std::size_t jobs) {
+  std::ostringstream jsonl, csv, trace;
+  JsonlSink jsonlSink(jsonl, /*wallClock=*/false);
+  CsvSink csvSink(csv, /*wallClock=*/false);
+  SweepOptions options;
+  options.jobs = jobs;
+  options.traceOut = &trace;
+  SweepEngine(options).run(grid, {&jsonlSink, &csvSink});
+  return {jsonl.str(), csv.str(), trace.str()};
+}
+
+/// The first line where two outputs differ, for a readable failure.
+std::string firstDifference(const std::string& a, const std::string& b) {
+  std::istringstream as(a), bs(b);
+  std::string la, lb;
+  for (std::size_t line = 1;; ++line) {
+    const bool moreA = static_cast<bool>(std::getline(as, la));
+    const bool moreB = static_cast<bool>(std::getline(bs, lb));
+    if (!moreA && !moreB) return "no difference";
+    if (!moreA || !moreB || la != lb)
+      return "line " + std::to_string(line) + ":\n  " + (moreA ? la : "<end>") +
+             "\n  " + (moreB ? lb : "<end>");
+  }
+}
+
+void expectSameBytes(const SweepBytes& a, const SweepBytes& b) {
+  EXPECT_TRUE(a.jsonl == b.jsonl) << "JSONL " << firstDifference(a.jsonl, b.jsonl);
+  EXPECT_TRUE(a.csv == b.csv) << "CSV " << firstDifference(a.csv, b.csv);
+  EXPECT_TRUE(a.trace == b.trace) << "trace " << firstDifference(a.trace, b.trace);
+}
+
+/// The incremental maintenance engine (dirty-pair snapshots, skip
+/// decisions, plan-cache replay) must be invisible in every sink. The grid
+/// exercises skips: warm EWMA and sliding-window estimators, 10-minute
+/// ticks, both maintenance modes. The full-recompute run also checks every
+/// plan-cache hit against a fresh recompute (DTNCACHE_CHECK).
+TEST(SweepEngine, IncrementalMaintenanceIsByteIdenticalToFullRecompute) {
+  SweepGrid incremental = infocomTwoDayGrid();
+  incremental.schemes = {runner::SchemeKind::kHierarchical};
+  incremental.axes = {{"estimator.mode", {"ewma", "window"}},
+                      {"hierarchical.maintenancePeriodSeconds", {"600"}},
+                      {"hierarchical.maintenance", {"rebuild", "local-repair"}}};
+  SweepGrid full = incremental;
+  full.base.hierarchical.fullMaintenance = true;
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const SweepBytes fast = runAllSinks(incremental, jobs);
+    expectSameBytes(fast, runAllSinks(full, jobs));
+    // The fast paths must have run, or the comparison shows nothing.
+    EXPECT_TRUE(std::regex_search(fast.jsonl,
+                                  std::regex(R"("ctr.core.maintenance.skipped": [1-9])")));
+    EXPECT_TRUE(
+        std::regex_search(fast.jsonl, std::regex(R"("ctr.core.plan.cache_hits": [1-9])")));
+  }
+}
+
+/// With a zero prior rate, skipping never-met pairs is bit-exact, so the
+/// sparse pair backend forced onto a small-N sweep (which would pick the
+/// dense one) must reproduce every sink byte for byte. The estimator grid
+/// drags the incremental snapshot and centrality paths through both.
+TEST(SweepEngine, SparsePairBackendIsByteIdenticalToDense) {
+  SweepGrid dense = infocomTwoDayGrid();
+  dense.schemes = runner::allSchemes();
+  dense.axes = {{"estimator.mode", {"ewma", "window"}},
+                {"hierarchical.maintenancePeriodSeconds", {"900"}}};
+  SweepGrid sparse = dense;
+  sparse.base.trace.backend = trace::PairBackend::kSparse;
+  sparse.base.estimator.backend = trace::PairBackend::kSparse;
+  ASSERT_FALSE(trace::generate(dense.base.trace).rates.isSparse());
+  ASSERT_TRUE(trace::generate(sparse.base.trace).rates.isSparse());
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const SweepBytes forced = runAllSinks(sparse, jobs);
+    expectSameBytes(runAllSinks(dense, jobs), forced);
+    EXPECT_FALSE(forced.trace.empty());
+  }
 }
 
 TEST(CsvSinkTest, NoNanCellsEvenWithZeroQueries) {

@@ -159,6 +159,8 @@ TEST(RateMatrix, ImpossibleDenseTriangleFailsWithMessage) {
     EXPECT_NE(what.find("RateMatrix"), std::string::npos) << what;
     EXPECT_NE(what.find("16777216 nodes"), std::string::npos) << what;
     EXPECT_NE(what.find("sparse pair backend"), std::string::npos) << what;
+    EXPECT_NE(what.find("PairBackend::kSparse"), std::string::npos) << what;
+    EXPECT_EQ(what.find("DTNCACHE_"), std::string::npos) << what;
   }
   EstimatorConfig cfg;
   cfg.backend = PairBackend::kDense;

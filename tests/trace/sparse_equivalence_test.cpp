@@ -197,30 +197,6 @@ TEST(SparseEquivalence, CentralityBatchAndIncremental) {
   EXPECT_EQ(denseState.ncls(), sparseState.ncls());
 }
 
-TEST(SparseEquivalence, NeighborCapTruncatesDeterministically) {
-  const std::size_t n = 40;
-  const sim::SimTime window = sim::hours(6);
-  RateMatrix sparse(n, PairBackend::kSparse);
-  sim::Rng rng(5);
-  for (NodeId j = 1; j < n; ++j)
-    sparse.setRate(0, j, rng.uniform(1e-6, 1e-4));  // node 0 is a big hub
-  sparse.setRate(1, 2, 5e-5);
-
-  cache::CentralityState exact;
-  cache::CentralityState capped;
-  capped.setNeighborCap(8);
-  const std::vector<NodeId> none;
-  const auto& full = cache::contactCapability(exact, sparse, window, none);
-  const auto& trunc = cache::contactCapability(capped, sparse, window, none);
-  // The hub loses mass under truncation; small rows are unaffected.
-  EXPECT_LT(trunc[0], full[0]);
-  EXPECT_EQ(trunc[1], full[1]);
-  // Re-running with the same cap reproduces the same values.
-  cache::CentralityState again;
-  again.setNeighborCap(8);
-  EXPECT_EQ(trunc, cache::contactCapability(again, sparse, window, none));
-}
-
 TEST(SparseEquivalence, DegenerateSizes) {
   // n = 0 and n = 1 matrices and estimators are valid and inert.
   for (const auto backend : {PairBackend::kDense, PairBackend::kSparse}) {
