@@ -6,6 +6,10 @@ Reads the output of `dtncache --trace-out=...` or `dtncache_sweep
 per run fingerprint:
 
   - an event-kind histogram;
+  - a one-line health verdict: `protocol inert` when the run made no
+    `push`, `all plans unmet` when every `plan` event has no helper and
+    unmet nodes, `unknown` when the trace filter dropped the kinds the
+    verdict needs, else `ok`;
   - pair-sparsity stats over contact events: distinct node pairs observed
     vs the n*(n-1)/2 possible, and the degree distribution — the numbers
     that decide whether the sparse pair-state backend pays off (see
@@ -68,6 +72,33 @@ def load_events(stream):
             raise SystemExit(f"line {lineno}: not JSON: {err}")
         runs[event.get("run", "?")].append(event)
     return runs
+
+
+# Kinds every unfiltered run emits: contacts are replayed, the initial
+# copies are installed at t=0, and sources bump versions. The trace does not
+# record its --trace-filter, so a trace missing any of them is read as
+# filtered, and an absent push or plan kind may have been dropped.
+ALWAYS_EMITTED = ("contact", "install", "version_bump")
+
+
+def health_verdict(histogram, events):
+    """One-line verdict on whether the refresh protocol did anything."""
+    dropped = [k for k in ALWAYS_EMITTED if k not in histogram]
+    upgrades = sum(1 for e in events
+                   if e["kind"] == "install" and e.get("how") == "upgrade")
+    if "push" not in histogram and upgrades:
+        dropped.append("push")  # copies were upgraded, yet no push recorded
+    if dropped and ("push" not in histogram or "plan" not in histogram):
+        return f"unknown (trace filter dropped {', '.join(dropped)})"
+    problems = []
+    if "push" not in histogram:
+        problems.append(f"protocol inert (0 push events over "
+                        f"{histogram['contact']} contact(s))")
+    plans = [e for e in events if e["kind"] == "plan"]
+    if plans and all(e.get("helpers") == 0 and e.get("unmet", 0) > 0 for e in plans):
+        problems.append(f"all plans unmet ({len(plans)} plan event(s), "
+                        f"0 helpers)")
+    return "; ".join(problems) if problems else "ok"
 
 
 def pair_sparsity(events):
@@ -262,6 +293,7 @@ def summarize(run, events, args):
     histogram = collections.Counter(e["kind"] for e in events)
     for kind, count in histogram.most_common():
         print(f"  {kind:<22} {count}")
+    print(f"  health: {health_verdict(histogram, events)}")
 
     contacts, pairs, degree, nodes = pair_sparsity(events)
     if pairs:

@@ -125,58 +125,43 @@ void HierarchicalRefreshScheme::touchHierarchy(data::ItemId item) {
   repairSettled_[item] = 0;
 }
 
-void HierarchicalRefreshScheme::refreshRateState(cache::CooperativeCache& cache,
-                                                 sim::SimTime t, bool* nclChanged,
-                                                 trace::SnapshotStats* stats) {
-  *nclChanged = false;
-  *stats = trace::SnapshotStats{};
+trace::SnapshotStats HierarchicalRefreshScheme::refreshRateState(
+    cache::CooperativeCache& cache, sim::SimTime t) {
   if (config_.useOracleRates) {
     planningLive_ = false;  // the oracle matrix is the planning source
-    return;                 // constant inputs: nothing to version
+    return {};              // constant inputs: nothing to version
   }
   trace::ContactRateEstimator& est = cache.estimator();
-  const std::size_t n = cache.nodeCount();
   // Incremental bookkeeping only pays for itself when skips are possible.
   // A cumulative-mode estimator moves every seen pair's rate every tick
   // (rate = count / elapsed), so every item's dependency version changes
-  // anyway — don't materialize the matrix or re-select NCLs at all: plan
-  // straight from the live estimator exactly as the pre-incremental scheme
-  // did, and pessimistically version every row (over-approximating change
-  // can only suppress skips, never corrupt one). Plan reuse being disabled
+  // anyway — don't materialize the matrix at all: plan straight from the
+  // live estimator exactly as the pre-incremental scheme did, and
+  // pessimistically version every row (over-approximating change can only
+  // suppress skips, never corrupt one). Plan reuse being disabled
   // (energy weights) degenerates the same way. The branch depends only on
   // the estimator's configuration, so the full-maintenance path takes it
   // identically and outputs cannot differ.
   if (est.config().mode == trace::EstimatorMode::kCumulative || !planCacheEnabled()) {
-    stats->dirtyPairs = est.dirtyPairCount() + est.timeVaryingPairCount();
+    trace::SnapshotStats stats;
+    stats.dirtyPairs = est.dirtyPairCount() + est.timeVaryingPairCount();
     ++rateVersion_;
     for (auto& v : rowVersion_) v = rateVersion_;
     planningLive_ = true;
-    centrality_.invalidate();
-    *nclChanged = true;
-    return;
+    return stats;
   }
   planningLive_ = false;
   // Under the escape hatch, force the full matrix rewrite: values, stats
   // and changed-row reporting are identical by construction, so the
   // full-vs-incremental sweep test cross-checks the estimator's
   // incremental path.
-  *stats = est.snapshotInto(rateSnapshot_, t, &changedNodes_,
-                            /*force=*/config_.fullMaintenance);
-  if (stats->changedPairs > 0) {
+  const trace::SnapshotStats stats = est.snapshotInto(rateSnapshot_, t, &changedNodes_,
+                                                     /*force=*/config_.fullMaintenance);
+  if (stats.changedPairs > 0) {
     ++rateVersion_;
     for (const NodeId nd : changedNodes_) rowVersion_[nd] = rateVersion_;
   }
-  // NCL tracking has the same economics post-snapshot: a mostly-changed
-  // row set (e.g. the priming snapshot) would refresh nearly every
-  // capability, and reporting "changed" merely disables skips this tick.
-  if (changedNodes_.size() * 2 >= n) {
-    centrality_.invalidate();
-    *nclChanged = true;
-    return;
-  }
-  *nclChanged = cache::selectNcls(centrality_, rateSnapshot_,
-                                  cache.config().centralityWindow, nclCount_,
-                                  changedNodes_);
+  return stats;
 }
 
 void HierarchicalRefreshScheme::rebuildItem(cache::CooperativeCache& cache,
@@ -246,15 +231,16 @@ void HierarchicalRefreshScheme::localRepairItem(cache::CooperativeCache& cache,
 
 void HierarchicalRefreshScheme::maintainItem(cache::CooperativeCache& cache,
                                              data::ItemId item, sim::SimTime t,
-                                             bool allowSkip, std::size_t& skipped) {
+                                             std::size_t& skipped) {
   const std::uint64_t dep = depVersion(item);
   const sim::SimTime tau = cache.catalog().spec(item).refreshPeriod;
   // Reuse is sound only when every maintenance input is provably unchanged
   // since this item's last evaluation: its dependency rows (dep version),
-  // its tree (revision — churn repairs bump it), the NCL set (allowSkip),
-  // and — for local repair — the pass being at a fixed point already.
+  // its tree (revision — churn repairs bump it), and — for local repair —
+  // the pass being at a fixed point already. The caching sets are pinned
+  // when the cooperative cache is built, so no other input can move.
   const bool mayReuse =
-      allowSkip && planCacheEnabled() && haveMaintState_[item] != 0 &&
+      planCacheEnabled() && haveMaintState_[item] != 0 &&
       dep == lastMaintDep_[item] && hierarchyRev_[item] == lastMaintRev_[item] &&
       (config_.maintenance != MaintenanceMode::kLocalRepair || repairSettled_[item] != 0);
   const ReplicationPlan* hit =
@@ -303,19 +289,12 @@ void HierarchicalRefreshScheme::runMaintenance(cache::CooperativeCache& cache,
   obs::ScopedTimer timed(maintenanceTimer_);
   const std::size_t reparentsBefore = reparentCount_;
 
-  bool nclChanged = false;
-  trace::SnapshotStats stats;
-  refreshRateState(cache, t, &nclChanged, &stats);
+  const trace::SnapshotStats stats = refreshRateState(cache, t);
   if (ctrDirtyPairs_ != nullptr) ctrDirtyPairs_->add(stats.dirtyPairs);
 
-  // An NCL-set move is a global invalidation: caching sets were derived
-  // from it, so no item may reuse state across it. (The caching sets
-  // themselves are fixed per run; this mirrors a deployment re-checking its
-  // placement inputs before trusting incremental state.)
-  const bool allowSkip = !nclChanged;
   std::size_t skipped = 0;
   for (data::ItemId item = 0; item < cache.catalog().size(); ++item)
-    maintainItem(cache, item, t, allowSkip, skipped);
+    maintainItem(cache, item, t, skipped);
   skippedItems_ += skipped;
   if (ctrSkipped_ != nullptr) ctrSkipped_->add(skipped);
 
@@ -337,15 +316,12 @@ void HierarchicalRefreshScheme::onStart(cache::CooperativeCache& cache) {
   haveMaintState_.assign(items, 0);
   rowVersion_.assign(cache.nodeCount(), 0);
   rateVersion_ = 0;
-  centrality_.invalidate();
 
   // Dependency rows per item: the caching set plus the source. Fixed for
   // the run (the cooperative cache pins caching sets at start), so equal
   // row versions across these nodes prove an item's planning inputs —
   // member rates and every chain/candidate rate between them — unchanged.
   itemDeps_.assign(items, {});
-  const cache::CoopCacheConfig& ccfg = cache.config();
-  std::size_t maxSetSize = 0;
   for (data::ItemId item = 0; item < items; ++item) {
     auto& deps = itemDeps_[item];
     const auto& cachingNodes = cache.cachingNodesOf(item);
@@ -353,17 +329,9 @@ void HierarchicalRefreshScheme::onStart(cache::CooperativeCache& cache) {
     const NodeId source = cache.sourceOf(item);
     if (std::find(deps.begin(), deps.end(), source) == deps.end())
       deps.push_back(source);
-    maxSetSize = std::max(maxSetSize, ccfg.cachingNodesPerItemOverride.empty()
-                                          ? ccfg.cachingNodesPerItem
-                                          : ccfg.cachingNodesPerItemOverride[item]);
   }
-  // NCL change detection watches the same selection the cooperative cache
-  // derived the caching sets from at construction.
-  nclCount_ = std::min(cache.nodeCount(), maxSetSize + 1);
 
-  bool nclChanged = false;
-  trace::SnapshotStats stats;
-  refreshRateState(cache, now, &nclChanged, &stats);
+  refreshRateState(cache, now);
   for (data::ItemId item = 0; item < items; ++item) {
     rebuildItem(cache, item, now);
     lastMaintDep_[item] = depVersion(item);

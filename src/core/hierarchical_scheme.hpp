@@ -25,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "cache/centrality.hpp"
 #include "cache/coop_cache.hpp"
 #include "cache/refresh_scheme.hpp"
 #include "core/hierarchy.hpp"
@@ -164,11 +163,9 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   /// Rate function for event-driven (churn) repairs between ticks: the live
   /// estimator at time `t`, exactly as before incremental maintenance.
   RateFn liveRateFn(cache::CooperativeCache& cache, sim::SimTime t) const;
-  /// Refresh the snapshot matrix + centrality state from the estimator;
-  /// bumps rate/row versions for changed rows and reports whether the NCL
-  /// set moved.
-  void refreshRateState(cache::CooperativeCache& cache, sim::SimTime t,
-                        bool* nclChanged, trace::SnapshotStats* stats);
+  /// Refresh the snapshot matrix from the estimator and bump the rate/row
+  /// versions of changed rows; returns the snapshot's work stats.
+  trace::SnapshotStats refreshRateState(cache::CooperativeCache& cache, sim::SimTime t);
   /// Max row version over the item's dependency rows (members + source).
   std::uint64_t depVersion(data::ItemId item) const;
   /// Record a structural change to the item's tree: bump its revision and
@@ -177,7 +174,7 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   /// One item's share of a maintenance tick: skip, replay from cache, or
   /// recompute (and, under the escape hatch, verify cache hits).
   void maintainItem(cache::CooperativeCache& cache, data::ItemId item, sim::SimTime t,
-                    bool allowSkip, std::size_t& skipped);
+                    std::size_t& skipped);
   void rebuildItem(cache::CooperativeCache& cache, data::ItemId item, sim::SimTime t);
   void localRepairItem(cache::CooperativeCache& cache, data::ItemId item, sim::SimTime t);
   void runMaintenance(cache::CooperativeCache& cache, sim::SimTime t);
@@ -246,8 +243,6 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   std::uint64_t rateVersion_ = 0;
   std::vector<std::uint64_t> rowVersion_;
   std::vector<NodeId> changedNodes_;  ///< per-tick scratch from snapshotInto
-  cache::CentralityState centrality_;
-  std::size_t nclCount_ = 0;  ///< k used for NCL change detection
   /// Per-item dependency rows (caching set ∪ source; fixed per run) and
   /// incremental bookkeeping: structural revision, repair fixed-point flag,
   /// and the (dep version, revision) the item was last maintained at.

@@ -100,7 +100,7 @@ class FlatJsonParser {
     const double v = std::stod(num, &used);
     DTNCACHE_CHECK_MSG(used == num.size(), "malformed number '" << num << "'");
     pos_ = end;
-    return v;
+    return JsonNumber{v, num};
   }
 
   const std::string& text_;

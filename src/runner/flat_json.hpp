@@ -15,6 +15,7 @@
 /// distance ("unknown config key 'cache.warmStarts'; did you mean
 /// 'cache.warmStart'?") instead of silently running the defaults.
 
+#include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <limits>
@@ -30,7 +31,15 @@
 
 namespace dtncache::runner {
 
-using JsonValue = std::variant<double, bool, std::string>;
+/// A JSON number: its value as a double, plus the token as written so that
+/// integral fields parse it exactly at any width (a double holds integers
+/// exactly only up to 2^53).
+struct JsonNumber {
+  double value = 0.0;
+  std::string token;
+};
+
+using JsonValue = std::variant<JsonNumber, bool, std::string>;
 
 /// Parse one flat JSON object ({"dotted.key": value, ...}). Throws
 /// InvariantViolation on malformed input or trailing characters.
@@ -59,25 +68,21 @@ struct FieldBinder {
   void numeric(const std::string& key, T& field) const {
     knownKeys.push_back(key);
     if (mode == Mode::kDump) {
-      emitNumber(key, static_cast<double>(field));
+      // Integers print exactly; below 2^53 the bytes equal the double's.
+      if constexpr (std::is_integral_v<T>)
+        emitRaw(key, std::to_string(field));
+      else
+        emitNumber(key, static_cast<double>(field));
       return;
     }
     if (const auto it = values->find(key); it != values->end()) {
-      DTNCACHE_CHECK_MSG(std::holds_alternative<double>(it->second),
+      DTNCACHE_CHECK_MSG(std::holds_alternative<JsonNumber>(it->second),
                          "key '" << key << "' must be a number");
-      const double v = std::get<double>(it->second);
-      if constexpr (std::is_integral_v<T>) {
-        DTNCACHE_CHECK_MSG(integral(v), "key '" << key << "' must be integral");
-        // Casting an out-of-range double is undefined behaviour. 2^digits
-        // is exact in a double; the largest value of a 64-bit T is not.
-        using Limits = std::numeric_limits<T>;
-        const bool inRange =
-            v >= static_cast<double>(Limits::min()) && v < std::ldexp(1.0, Limits::digits);
-        DTNCACHE_CHECK_MSG(inRange, "key '" << key << "' must be in [" << +Limits::min()
-                                            << ", " << +Limits::max() << "], got "
-                                            << std::fixed << std::setprecision(0) << v);
-      }
-      field = static_cast<T>(v);
+      const JsonNumber& number = std::get<JsonNumber>(it->second);
+      if constexpr (std::is_integral_v<T>)
+        field = integer<T>(key, number);
+      else
+        field = static_cast<T>(number.value);
     }
   }
 
@@ -137,6 +142,33 @@ struct FieldBinder {
   void requireAllKnown() const;
 
  private:
+  /// An integral field's value. A plain integer token parses exactly; a
+  /// token with a fraction or exponent ("5.0", "1e3") goes through its
+  /// double and must be integral. Out-of-range values are refused.
+  template <typename T>
+  static T integer(const std::string& key, const JsonNumber& number) {
+    using Limits = std::numeric_limits<T>;
+    const auto rangeError = [&key](const auto& got) {
+      DTNCACHE_CHECK_MSG(false, "key '" << key << "' must be in [" << +Limits::min() << ", "
+                                        << +Limits::max() << "], got " << got);
+    };
+    T parsed{};
+    const char* end = number.token.data() + number.token.size();
+    const auto [ptr, ec] = std::from_chars(number.token.data(), end, parsed);
+    if (ptr == end && ec == std::errc{}) return parsed;
+    if (ptr == end && ec == std::errc::result_out_of_range) rangeError(number.token);
+    const double v = number.value;
+    DTNCACHE_CHECK_MSG(integral(v), "key '" << key << "' must be integral");
+    // Casting an out-of-range double is undefined behaviour. 2^digits
+    // is exact in a double; the largest value of a 64-bit T is not.
+    if (!(v >= static_cast<double>(Limits::min()) && v < std::ldexp(1.0, Limits::digits))) {
+      std::ostringstream got;
+      got << std::fixed << std::setprecision(0) << v;
+      rangeError(got.str());
+    }
+    return static_cast<T>(v);
+  }
+
   static bool integral(double v);
   static std::string quoted(const std::string& s);
   void emitNumber(const std::string& key, double v) const;

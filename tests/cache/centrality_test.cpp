@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -18,20 +19,31 @@ trace::RateMatrix star(std::size_t n, double hubRate) {
   return m;
 }
 
+// The first greedy pick's gain is the sum of its meeting probabilities,
+// (N-1)·C_i(T): the first NCL is the top-capability node.
+
 TEST(Centrality, HubHasHighestCapability) {
-  const auto m = star(10, 0.01);
-  const auto cap = contactCapability(m, 100.0);
-  for (NodeId j = 1; j < 10; ++j) EXPECT_GT(cap[0], cap[j]);
+  // The hub's edges are weak (P ≈ 0.18 each) next to the near-certain pair
+  // (10, 11), but nine of them reach further in sum.
+  trace::RateMatrix m(12);
+  for (NodeId j = 1; j < 10; ++j) m.setRate(0, j, 0.002);
+  m.setRate(10, 11, 1.0);
+  EXPECT_EQ(selectNcls(m, 100.0, 1), std::vector<NodeId>{0});
 }
 
 TEST(Centrality, CapabilityIsMeanMeetingProbability) {
-  trace::RateMatrix m(3);
-  m.setRate(0, 1, 0.01);
-  m.setRate(0, 2, 0.02);
-  const auto cap = contactCapability(m, 100.0);
-  const double expected =
-      (trace::contactProbability(0.01, 100.0) + trace::contactProbability(0.02, 100.0)) / 2.0;
-  EXPECT_NEAR(cap[0], expected, 1e-12);
+  // Node 0 meets two nodes with P = 0.4 each; node 3 meets one with
+  // P = 0.7. The sum, not the strongest edge, decides: 0.8 > 0.7 picks 0,
+  // and with P = 0.3 each (0.6 < 0.7) node 3 wins.
+  const double window = 100.0;
+  const auto rateFor = [window](double p) { return -std::log(1.0 - p) / window; };
+  for (const auto& [pairP, winner] : {std::pair{0.4, NodeId{0}}, std::pair{0.3, NodeId{3}}}) {
+    trace::RateMatrix m(5);
+    m.setRate(0, 1, rateFor(pairP));
+    m.setRate(0, 2, rateFor(pairP));
+    m.setRate(3, 4, rateFor(0.7));
+    EXPECT_EQ(selectNcls(m, window, 1), std::vector<NodeId>{winner}) << "P=" << pairP;
+  }
 }
 
 TEST(Centrality, TopCapabilityOrdersByMetric) {
@@ -40,7 +52,7 @@ TEST(Centrality, TopCapabilityOrdersByMetric) {
   m.setRate(2, 0, 0.05);
   m.setRate(2, 1, 0.05);
   m.setRate(2, 3, 0.05);
-  const auto top = selectTopCapability(m, 100.0, 2);
+  const auto top = selectNcls(m, 100.0, 2);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0], 2u);
 }
@@ -81,100 +93,6 @@ TEST(Centrality, DeterministicUnderTies) {
   const auto a = selectNcls(m, 100.0, 3);
   const auto b = selectNcls(m, 100.0, 3);
   EXPECT_EQ(a, b);
-}
-
-// ---- Incremental CentralityState -------------------------------------------
-
-trace::RateMatrix randomMatrix(std::size_t n, sim::Rng& rng) {
-  trace::RateMatrix m(n);
-  for (NodeId i = 0; i < n; ++i)
-    for (NodeId j = i + 1; j < n; ++j)
-      if (rng.bernoulli(0.6)) m.setRate(i, j, rng.uniform(0.0, 0.05));
-  return m;
-}
-
-TEST(CentralityState, IncrementalMatchesBatchUnderRandomRowUpdates) {
-  // Mutate random rows between refreshes; the incrementally maintained
-  // capability vector and NCL set must stay bit-identical to the batch
-  // functions at every step — the equivalence the maintenance tick's
-  // NCL change-detection rests on.
-  constexpr std::size_t kNodes = 16;
-  constexpr double kWindow = 600.0;
-  constexpr std::size_t kK = 4;
-  sim::Rng rng(42);
-  auto m = randomMatrix(kNodes, rng);
-  CentralityState state;
-  std::vector<NodeId> changed;
-  bool moved = selectNcls(state, m, kWindow, kK, changed);
-  EXPECT_TRUE(moved);  // first call on an unprimed state always reports true
-  for (int round = 0; round < 40; ++round) {
-    changed.clear();
-    const int rows = static_cast<int>(rng.uniformInt(0, 3));
-    for (int r = 0; r < rows; ++r) {
-      const NodeId i = static_cast<NodeId>(rng.uniformInt(0, kNodes - 1));
-      NodeId j = static_cast<NodeId>(rng.uniformInt(0, kNodes - 2));
-      if (j >= i) ++j;
-      m.setRate(i, j, rng.uniform(0.0, 0.05));
-      changed.push_back(i);
-      changed.push_back(j);
-    }
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-
-    const auto previous = state.ncls();
-    moved = selectNcls(state, m, kWindow, kK, changed);
-    const auto batchCap = contactCapability(m, kWindow);
-    const auto& incCap = state.capability();
-    ASSERT_EQ(incCap.size(), batchCap.size());
-    for (std::size_t i = 0; i < batchCap.size(); ++i)
-      ASSERT_EQ(incCap[i], batchCap[i]) << "node " << i << " round " << round;
-    EXPECT_EQ(state.ncls(), selectNcls(m, kWindow, kK)) << "round " << round;
-    EXPECT_EQ(moved, state.ncls() != previous) << "round " << round;
-  }
-}
-
-TEST(CentralityState, NoChangeShortCircuitReportsStableSet) {
-  const auto m = star(10, 0.01);
-  CentralityState state;
-  std::vector<NodeId> none;
-  EXPECT_TRUE(selectNcls(state, m, 100.0, 3, none));
-  const auto first = state.ncls();
-  // Primed + empty change list: skipped outright, nothing moved.
-  EXPECT_FALSE(selectNcls(state, m, 100.0, 3, none));
-  EXPECT_EQ(state.ncls(), first);
-}
-
-TEST(CentralityState, ParameterChangeForcesFullRederivation) {
-  sim::Rng rng(5);
-  const auto m = randomMatrix(12, rng);
-  CentralityState state;
-  std::vector<NodeId> none;
-  selectNcls(state, m, 100.0, 3, none);
-  // A different window invalidates every cached probability even with an
-  // empty change list.
-  selectNcls(state, m, 900.0, 3, none);
-  EXPECT_EQ(state.ncls(), selectNcls(m, 900.0, 3));
-  // Same for a different k...
-  selectNcls(state, m, 900.0, 5, none);
-  EXPECT_EQ(state.ncls(), selectNcls(m, 900.0, 5));
-  // ...and an explicit invalidate() must rebuild to the same answer.
-  state.invalidate();
-  EXPECT_FALSE(state.primed());
-  selectNcls(state, m, 900.0, 5, none);
-  EXPECT_EQ(state.ncls(), selectNcls(m, 900.0, 5));
-}
-
-TEST(CentralityState, IncrementalCapabilityOverloadMatchesBatch) {
-  sim::Rng rng(11);
-  auto m = randomMatrix(10, rng);
-  CentralityState state;
-  std::vector<NodeId> changed;
-  const auto& cap = contactCapability(state, m, 200.0, changed);
-  EXPECT_EQ(cap, contactCapability(m, 200.0));
-  m.setRate(2, 7, 0.04);
-  changed = {2, 7};
-  const auto& cap2 = contactCapability(state, m, 200.0, changed);
-  EXPECT_EQ(cap2, contactCapability(m, 200.0));
 }
 
 // ---- Lazy greedy == eager greedy -------------------------------------------
@@ -223,17 +141,13 @@ trace::RateMatrix randomRates(std::size_t n, double density, trace::PairBackend 
   return m;
 }
 
-/// Lazy batch, lazy incremental (fresh state) and eager agree for every k
-/// in `ks`; by default none, one, a typical NCL count and all nodes.
+/// Lazy and eager greedy agree for every k in `ks`; by default none, one,
+/// a typical NCL count and all nodes.
 void expectLazyMatchesEager(const trace::RateMatrix& m, sim::SimTime window,
                             const std::string& what, std::vector<std::size_t> ks = {}) {
   if (ks.empty()) ks = {0, 1, 9, m.nodeCount()};
   for (const std::size_t k : ks) {
-    const auto expected = eagerNcls(m, window, k);
-    EXPECT_EQ(selectNcls(m, window, k), expected) << what << " k=" << k;
-    CentralityState state;
-    selectNcls(state, m, window, k, {});
-    EXPECT_EQ(state.ncls(), expected) << what << " k=" << k << " (incremental)";
+    EXPECT_EQ(selectNcls(m, window, k), eagerNcls(m, window, k)) << what << " k=" << k;
   }
 }
 
@@ -291,35 +205,6 @@ TEST(LazyGreedy, ZeroGainNodesArePickedInIdOrder) {
   }
   trace::RateMatrix empty(6, trace::PairBackend::kSparse);
   EXPECT_EQ(selectNcls(empty, 100.0, 6), (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(LazyGreedy, IncrementalMatchesBatchUnderSparseRowUpdates) {
-  // The dense variant is IncrementalMatchesBatchUnderRandomRowUpdates; this
-  // one drives the sparse row cache (zero and nonzero default) through the
-  // same kind of random edits, with k = 9 so several picks re-evaluate.
-  for (const double defaultRate : {0.0, 1e-4}) {
-    sim::Rng rng(77);
-    auto m = randomRates(30, 0.15, trace::PairBackend::kSparse, defaultRate, rng);
-    CentralityState state;
-    selectNcls(state, m, 600.0, 9, {});
-    std::vector<NodeId> changed;
-    for (int round = 0; round < 30; ++round) {
-      changed.clear();
-      for (int r = 0; r < 3; ++r) {
-        const auto i = static_cast<NodeId>(rng.uniformInt(0, 29));
-        auto j = static_cast<NodeId>(rng.uniformInt(0, 28));
-        if (j >= i) ++j;
-        m.setRate(i, j, rng.uniform(0.0, 0.05));
-        changed.push_back(i);
-        changed.push_back(j);
-      }
-      std::sort(changed.begin(), changed.end());
-      changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-      selectNcls(state, m, 600.0, 9, changed);
-      EXPECT_EQ(state.ncls(), selectNcls(m, 600.0, 9)) << "round " << round;
-      EXPECT_EQ(state.ncls(), eagerNcls(m, 600.0, 9)) << "round " << round;
-    }
-  }
 }
 
 }  // namespace

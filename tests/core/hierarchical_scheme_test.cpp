@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "cache/centrality.hpp"
 #include "data/source.hpp"
 #include "net/network.hpp"
 #include "runner/experiment.hpp"
@@ -252,6 +255,81 @@ TEST(HierarchicalScheme, ChurnFlipForNonMemberIsNoop) {
   ASSERT_NE(outsider, kNoNode);
   rig.scheme.onNodeStateChanged(rig.coop, outsider, false, rig.horizon);
   EXPECT_EQ(rig.scheme.churnRepairs(), 0u);
+}
+
+TEST(HierarchicalScheme, RateChangesOutsideEveryDependencyRowSkipEveryItem) {
+  // Ten nodes, no trace contacts: the test feeds the EWMA estimator itself.
+  // Uniform planning rates make the caching sets {0, 2} (item 0, source 1)
+  // and {0, 1} (item 1, source 2), so nodes 3..9 are outside every item's
+  // dependency rows.
+  constexpr std::size_t kNodes = 10;
+  const sim::SimTime window = sim::hours(1);
+  trace::RateMatrix planning(kNodes);
+  for (NodeId i = 0; i < kNodes; ++i)
+    for (NodeId j = i + 1; j < kNodes; ++j) planning.setRate(i, j, 0.1 / 3600.0);
+  data::CatalogConfig catCfg;
+  catCfg.itemCount = 2;
+  catCfg.nodeCount = kNodes;
+  catCfg.refreshPeriod = sim::hours(12);
+  const data::Catalog catalog = data::makeUniformCatalog(catCfg);
+  trace::EstimatorConfig estCfg;
+  estCfg.mode = trace::EstimatorMode::kEwma;
+  trace::ContactRateEstimator estimator(kNodes, estCfg, 0.0);
+  const trace::ContactTrace noContacts(kNodes, {});
+  sim::Simulator simulator;
+  net::Network network(simulator, noContacts);
+  metrics::MetricsCollector collector(catalog, 0.0);
+  cache::CoopCacheConfig cacheCfg;
+  cacheCfg.cachingNodesPerItem = 2;
+  cacheCfg.centralityWindow = window;
+  cache::CooperativeCache coop(simulator, network, catalog, estimator, collector, planning,
+                               cacheCfg);
+  HierarchicalConfig cfg;
+  cfg.maintenance = MaintenanceMode::kRebuild;
+  cfg.maintenancePeriod = sim::hours(10);
+  HierarchicalRefreshScheme scheme(cfg);
+  const sim::SimTime horizon = sim::hours(45);
+  data::SourceProcess sources(simulator, catalog, horizon);
+  coop.setScheme(&scheme);
+  coop.start(sources, nullptr, horizon);
+  for (data::ItemId item = 0; item < catalog.size(); ++item)
+    for (const NodeId n : coop.cachingNodesOf(item)) ASSERT_LT(n, 3u);
+
+  // Prime every pair with one 4 h interval (P ≈ 0.22 within the window).
+  // The 10 h tick re-plans from it; the quiescent 30 h tick skips both
+  // items.
+  for (const sim::SimTime t : {sim::hours(1), sim::hours(5)}) {
+    simulator.runUntil(t);
+    for (NodeId i = 0; i < kNodes; ++i)
+      for (NodeId j = i + 1; j < kNodes; ++j) estimator.recordContact(i, j, t);
+  }
+  simulator.runUntil(sim::hours(21));
+  const std::size_t skippedBy20h = scheme.itemsSkipped();
+  simulator.runUntil(sim::hours(31));
+  ASSERT_EQ(scheme.maintenanceRuns(), 3u);
+  ASSERT_EQ(scheme.itemsSkipped() - skippedBy20h, catalog.size());
+  const std::size_t skippedBy30h = scheme.itemsSkipped();
+  const std::size_t hitsBy30h = scheme.planCacheHits();
+  const auto nclsBefore = cache::selectNcls(estimator.snapshot(sim::hours(31)), window, 3);
+
+  // A burst of 3-minute contacts among nodes 7, 8 and 9 only: their pair
+  // rates jump to P ≈ 1 and node 7 becomes the greedy's first pick.
+  for (int m = 0; m < 20; ++m) {
+    const sim::SimTime t = sim::hours(31) + m * sim::minutes(3);
+    simulator.runUntil(t);
+    for (const auto& [a, b] : {std::pair{7u, 8u}, std::pair{7u, 9u}, std::pair{8u, 9u}})
+      estimator.recordContact(a, b, t);
+  }
+  const auto nclsAfter = cache::selectNcls(estimator.snapshot(sim::hours(33)), window, 3);
+  ASSERT_NE(nclsAfter, nclsBefore);
+  EXPECT_EQ(nclsAfter.front(), 7u);
+
+  // The 40 h tick sees changed rows, none of them an item's dependency:
+  // every item is skipped.
+  simulator.runUntil(sim::hours(41));
+  ASSERT_EQ(scheme.maintenanceRuns(), 4u);
+  EXPECT_EQ(scheme.itemsSkipped() - skippedBy30h, catalog.size());
+  EXPECT_EQ(scheme.planCacheHits() - hitsBy30h, catalog.size());
 }
 
 TEST(HierarchicalScheme, EnergyWeightSteersHelperSelection) {

@@ -126,6 +126,8 @@ TEST(ConfigIo, OutOfRangeIntegerRejectedWithKey) {
       {"sim.shards", "18446744073709551616"},                // 2^64
       {"catalog.itemCount", "-1"},
       {"seed", "1e30"},
+      {"seed", "18446744073709551616"},  // 2^64
+      {"trace.seed", "18446744073709551616"},
   };
   for (const auto& [key, value] : cases) {
     const std::string json = std::string("{\"") + key + "\": " + value + "}";
@@ -150,6 +152,21 @@ TEST(ConfigIo, IntegerRangeEndpointsAccepted) {
   EXPECT_EQ(c.hierarchical.relayCopiesPerVersion, 4294967295u);
   EXPECT_EQ(c.shards, 0u);
   EXPECT_EQ(c.seed, 9007199254740992u);
+
+  // Integers above 2^53 load and dump exactly, up to 2^64 - 1.
+  const auto d = loadConfig(
+      R"({"seed": 9007199254740993, "trace.seed": 18446744073709551615, )"
+      R"("workload.seed": 18446744073709551614})");
+  EXPECT_EQ(d.seed, 9007199254740993u);
+  EXPECT_EQ(d.trace.seed, 18446744073709551615u);
+  EXPECT_EQ(d.workload.seed, 18446744073709551614u);
+  const std::string dumped = dumpConfig(d);
+  EXPECT_NE(dumped.find("\"seed\": 9007199254740993"), std::string::npos) << dumped;
+  EXPECT_NE(dumped.find("\"trace.seed\": 18446744073709551615"), std::string::npos) << dumped;
+  const auto reloaded = loadConfig(dumped);
+  EXPECT_EQ(reloaded.seed, d.seed);
+  EXPECT_EQ(reloaded.trace.seed, d.trace.seed);
+  EXPECT_EQ(reloaded.workload.seed, d.workload.seed);
 }
 
 TEST(ConfigIo, UnknownEnumValueRejected) {

@@ -277,7 +277,8 @@ TEST(SweepEngine, IncrementalMaintenanceIsByteIdenticalToFullRecompute) {
 /// With a zero prior rate, skipping never-met pairs is bit-exact, so the
 /// sparse pair backend forced onto a small-N sweep (which would pick the
 /// dense one) must reproduce every sink byte for byte. The estimator grid
-/// drags the incremental snapshot and centrality paths through both.
+/// drags the incremental snapshot path through both, and the forced-sparse
+/// trace matrix feeds the sparse path of the once-per-run NCL selection.
 TEST(SweepEngine, SparsePairBackendIsByteIdenticalToDense) {
   SweepGrid dense = infocomTwoDayGrid();
   dense.schemes = runner::allSchemes();

@@ -163,38 +163,10 @@ TEST(SparseEquivalence, CentralityBatchAndIncremental) {
     sparse.setRate(i, j, r);
   }
 
-  EXPECT_EQ(cache::contactCapability(dense, window), cache::contactCapability(sparse, window));
-  for (std::size_t k : {1u, 3u, 5u}) {
-    EXPECT_EQ(cache::selectTopCapability(dense, window, k),
-              cache::selectTopCapability(sparse, window, k));
+  // NCL selection runs once per run over the trace's rate matrix; the
+  // sparse backend must pick the same nodes in the same order.
+  for (std::size_t k : {1u, 3u, 4u, 5u})
     EXPECT_EQ(cache::selectNcls(dense, window, k), cache::selectNcls(sparse, window, k));
-  }
-
-  // Incremental state over the sparse matrix == batch over either.
-  cache::CentralityState denseState;
-  cache::CentralityState sparseState;
-  const std::vector<NodeId> noChanges;
-  EXPECT_EQ(cache::contactCapability(denseState, dense, window, noChanges),
-            cache::contactCapability(sparseState, sparse, window, noChanges));
-  cache::selectNcls(denseState, dense, window, 4, noChanges);
-  cache::selectNcls(sparseState, sparse, window, 4, noChanges);
-  EXPECT_EQ(denseState.ncls(), sparseState.ncls());
-
-  // Mutate a few rows, refresh incrementally on both, compare again.
-  std::vector<NodeId> changed = {2, 9, 17};
-  for (const NodeId i : changed) {
-    const NodeId j = static_cast<NodeId>((i + 5) % n);
-    const double r = rng.uniform(0.0, 2e-4);
-    dense.setRate(i, j, r);
-    sparse.setRate(i, j, r);
-  }
-  // Report both endpoints, ascending, as snapshotInto would.
-  changed = {2, 7, 9, 14, 17, 22};
-  EXPECT_EQ(cache::contactCapability(denseState, dense, window, changed),
-            cache::contactCapability(sparseState, sparse, window, changed));
-  cache::selectNcls(denseState, dense, window, 4, changed);
-  cache::selectNcls(sparseState, sparse, window, 4, changed);
-  EXPECT_EQ(denseState.ncls(), sparseState.ncls());
 }
 
 TEST(SparseEquivalence, DegenerateSizes) {
