@@ -8,8 +8,8 @@ per run fingerprint:
   - an event-kind histogram;
   - a one-line health verdict: `protocol inert` when the run made no
     `push`, `all plans unmet` when every `plan` event has no helper and
-    unmet nodes, `unknown` when the trace filter dropped the kinds the
-    verdict needs, else `ok`;
+    unmet nodes, `unknown` when the run's trace_filter record shows that
+    the filter dropped a kind the verdict needs, else `ok`;
   - pair-sparsity stats over contact events: distinct node pairs observed
     vs the n*(n-1)/2 possible, and the degree distribution — the numbers
     that decide whether the sparse pair-state backend pays off (see
@@ -74,26 +74,26 @@ def load_events(stream):
     return runs
 
 
-# Kinds every unfiltered run emits: contacts are replayed, the initial
-# copies are installed at t=0, and sources bump versions. The trace does not
-# record its --trace-filter, so a trace missing any of them is read as
-# filtered, and an absent push or plan kind may have been dropped.
-ALWAYS_EMITTED = ("contact", "install", "version_bump")
+# Kinds the health verdict reads: pushes (inert or not) and plans (all
+# unmet or not).
+VERDICT_KINDS = ("push", "plan")
 
 
-def health_verdict(histogram, events):
-    """One-line verdict on whether the refresh protocol did anything."""
-    dropped = [k for k in ALWAYS_EMITTED if k not in histogram]
-    upgrades = sum(1 for e in events
-                   if e["kind"] == "install" and e.get("how") == "upgrade")
-    if "push" not in histogram and upgrades:
-        dropped.append("push")  # copies were upgraded, yet no push recorded
-    if dropped and ("push" not in histogram or "plan" not in histogram):
-        return f"unknown (trace filter dropped {', '.join(dropped)})"
+def health_verdict(histogram, events, kept):
+    """One-line verdict on whether the refresh protocol did anything.
+
+    `kept` is the set of kinds named by the run's trace_filter record, or
+    None for an unfiltered run (a filtered tracer always writes one).
+    """
+    if kept is not None:
+        dropped = [k for k in VERDICT_KINDS if k not in kept]
+        if dropped:
+            return f"unknown (trace filter dropped {', '.join(dropped)})"
     problems = []
     if "push" not in histogram:
-        problems.append(f"protocol inert (0 push events over "
-                        f"{histogram['contact']} contact(s))")
+        over = ("" if kept is not None and "contact" not in kept
+                else f" over {histogram['contact']} contact(s)")
+        problems.append(f"protocol inert (0 push events{over})")
     plans = [e for e in events if e["kind"] == "plan"]
     if plans and all(e.get("helpers") == 0 and e.get("unmet", 0) > 0 for e in plans):
         problems.append(f"all plans unmet ({len(plans)} plan event(s), "
@@ -281,19 +281,26 @@ def summarize(run, events, args):
     # Live peer-daemon traces end with `"kind": "counters"` snapshot lines
     # carrying the registry's ctr.* values; split them out of the event
     # stream (they have no timestamp) and report them separately.
+    # A filtered run opens with one `"kind": "trace_filter"` record naming
+    # the kinds it kept; it is not an event either.
     counters = collections.Counter()
+    kept = None
     for event in events:
         if event["kind"] == "counters":
             for key, value in event.items():
                 if key.startswith("ctr."):
                     counters[key] += value
-    events = [e for e in events if e["kind"] != "counters"]
+        elif event["kind"] == "trace_filter":
+            kept = set(filter(None, event.get("kept", "").split(",")))
+    events = [e for e in events if e["kind"] not in ("counters", "trace_filter")]
     print(f"run {run}: {len(events)} event(s)")
+    if kept is not None:
+        print(f"  trace filter: kept {', '.join(sorted(kept)) or 'nothing'}")
 
     histogram = collections.Counter(e["kind"] for e in events)
     for kind, count in histogram.most_common():
         print(f"  {kind:<22} {count}")
-    print(f"  health: {health_verdict(histogram, events)}")
+    print(f"  health: {health_verdict(histogram, events, kept)}")
 
     contacts, pairs, degree, nodes = pair_sparsity(events)
     if pairs:

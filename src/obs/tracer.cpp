@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "sim/assert.hpp"
 #include "sim/shard_context.hpp"
@@ -47,6 +48,23 @@ void appendEscaped(std::string& out, const char* text) {
 }
 
 }  // namespace
+
+Tracer::Tracer(std::string runLabel, KindMask filter)
+    : run_(std::move(runLabel)), filter_(filter) {
+  if (filter_ == kAllKinds) return;
+  std::string kept;
+  for (std::size_t k = 0; k < static_cast<std::size_t>(EventKind::kKindCount); ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    if (!wants(kind)) continue;
+    if (!kept.empty()) kept += ',';
+    kept += eventKindName(kind);
+  }
+  buffer_ += "{\"run\": \"";
+  buffer_ += run_;
+  buffer_ += "\", \"t\": 0, \"kind\": \"trace_filter\", \"kept\": \"";
+  buffer_ += kept;
+  buffer_ += "\"}\n";
+}
 
 void Tracer::emit(EventKind kind, sim::SimTime t, std::initializer_list<Field> fields) {
   // Fixed leading keys (run identity, sim time, kind) then the payload in

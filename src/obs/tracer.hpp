@@ -72,8 +72,11 @@ struct Field {
 /// trace should land once the run is over.
 class Tracer {
  public:
-  explicit Tracer(std::string runLabel, KindMask filter = kAllKinds)
-      : run_(std::move(runLabel)), filter_(filter) {}
+  /// A filtered tracer (filter != kAllKinds) opens its buffer with one
+  /// `trace_filter` record naming the kinds it keeps, so readers of the
+  /// trace know which absent kinds were dropped rather than never emitted.
+  /// That record is not an event and is not counted in eventCount().
+  explicit Tracer(std::string runLabel, KindMask filter = kAllKinds);
 
   /// The macro's guard: is this kind being collected?
   bool wants(EventKind kind) const { return (filter_ & kindBit(kind)) != 0; }

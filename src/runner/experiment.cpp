@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <system_error>
 #include <thread>
 
 #include "data/source.hpp"
@@ -53,7 +55,8 @@ void preregisterObservables(obs::Registry& registry) {
       "shard.fence_contacts",    "shard.boring_contacts",
       "shard.fence_from_expired_only",
   };
-  static const char* const kTimers[] = {"core.maintenance", "runner.start", "runner.run"};
+  static const char* const kTimers[] = {"core.maintenance", "runner.start",  "runner.run",
+                                        "trace.world",      "trace.warmup",  "trace.warmup_wait"};
   for (const char* name : kCounters) registry.counter(name);
   for (const char* name : kTimers) registry.timer(name);
 }
@@ -67,42 +70,72 @@ trace::SyntheticTraceConfig worldTraceConfig(const ExperimentConfig& config) {
 }
 
 ExperimentOutput runExperiment(const ExperimentConfig& config) {
+  obs::Registry registry;
+  preregisterObservables(registry);
+
   // --- traces ---------------------------------------------------------------
   const trace::SyntheticTraceConfig traceCfg = worldTraceConfig(config);
+  const bool external = config.externalTrace != nullptr;
+
+  // Estimator, pre-fed with a warm-up trace at negative times.
+  trace::ContactRateEstimator estimator(
+      external ? config.externalTrace->nodeCount() : traceCfg.nodeCount, config.estimator,
+      -config.estimatorWarmup);
+
+  // A generated world's warm-up is a second, independent trace: a helper
+  // thread generates its contacts and feeds them to the estimator while this
+  // thread generates the world. The future is declared after the estimator,
+  // so every exit path (a throw from the world generation included) joins
+  // the helper before the estimator goes.
+  obs::Timer& warmupTimer = registry.timer("trace.warmup");
+  const auto feedGeneratedWarmup = [&] {
+    obs::ScopedTimer timed(warmupTimer);
+    trace::SyntheticTraceConfig warmCfg = traceCfg;
+    warmCfg.duration = config.estimatorWarmup;
+    warmCfg.seed = traceCfg.seed + 777;
+    const auto warm = trace::contactsShared(warmCfg);
+    for (const auto& c : warm->trace.contacts())
+      estimator.recordContact(c.a, c.b, c.start - config.estimatorWarmup);
+  };
+  std::future<void> warmup;
+  if (!external && config.estimatorWarmup > 0.0) {
+    try {
+      warmup = std::async(std::launch::async, feedGeneratedWarmup);
+    } catch (const std::system_error&) {
+      feedGeneratedWarmup();  // no thread to be had: the same work, inline
+    }
+  }
+
   std::shared_ptr<const trace::SyntheticTrace> worldShared;
   sim::SimTime horizon = 0.0;
-  if (config.externalTrace != nullptr) {
-    // Memoized: every job of a sweep arm points at the same loaded trace;
-    // copying it and refitting the full MLE rate matrix per job was the
-    // dominant per-job setup cost on the external-trace path.
-    worldShared = trace::externalShared(*config.externalTrace);
-    horizon = worldShared->trace.duration();
-  } else {
-    // Memoized: sweep grids and bench reps replay identical (config, seed)
-    // traces many times; generation is RNG-bound and worth sharing.
-    worldShared = trace::generateShared(traceCfg);
-    horizon = traceCfg.duration;
+  {
+    obs::ScopedTimer timed(registry.timer("trace.world"));
+    if (external) {
+      // Memoized: every job of a sweep arm points at the same loaded trace;
+      // copying it and refitting the full MLE rate matrix per job was the
+      // dominant per-job setup cost on the external-trace path.
+      worldShared = trace::externalShared(*config.externalTrace);
+      horizon = worldShared->trace.duration();
+    } else {
+      // Memoized: sweep grids and bench reps replay identical (config, seed)
+      // traces many times; generation is RNG-bound and worth sharing.
+      worldShared = trace::generateShared(traceCfg);
+      horizon = traceCfg.duration;
+    }
   }
   const trace::SyntheticTrace& world = *worldShared;
 
-  // Estimator, pre-fed with a warm-up trace at negative times.
-  trace::ContactRateEstimator estimator(world.trace.nodeCount(), config.estimator,
-                                        -config.estimatorWarmup);
-  if (config.estimatorWarmup > 0.0) {
-    if (config.externalTrace != nullptr) {
-      for (const auto& c : world.trace.contacts()) {
-        if (c.start >= config.estimatorWarmup) break;
-        estimator.recordContact(c.a, c.b, c.start - config.estimatorWarmup);
-      }
-    } else {
-      trace::SyntheticTraceConfig warmCfg = traceCfg;
-      warmCfg.duration = config.estimatorWarmup;
-      warmCfg.seed = traceCfg.seed + 777;
-      const auto warmShared = trace::generateShared(warmCfg);
-      const trace::SyntheticTrace& warm = *warmShared;
-      for (const auto& c : warm.trace.contacts())
-        estimator.recordContact(c.a, c.b, c.start - config.estimatorWarmup);
+  if (external && config.estimatorWarmup > 0.0) {
+    // An external trace has no second trace: its own prefix is the history.
+    obs::ScopedTimer timed(warmupTimer);
+    for (const auto& c : world.trace.contacts()) {
+      if (c.start >= config.estimatorWarmup) break;
+      estimator.recordContact(c.a, c.b, c.start - config.estimatorWarmup);
     }
+  }
+  {
+    obs::ScopedTimer timed(registry.timer("trace.warmup_wait"));
+    if (warmup.valid()) warmup.get();  // rethrows a warm-up failure
   }
 
   // --- substrate --------------------------------------------------------------
@@ -132,8 +165,6 @@ ExperimentOutput runExperiment(const ExperimentConfig& config) {
                                world.rates, cacheCfg);
 
   // --- observability ----------------------------------------------------------
-  obs::Registry registry;
-  preregisterObservables(registry);
   network.setObservability(config.tracer, &registry);
   coop.setObservability(config.tracer, &registry);
 

@@ -12,8 +12,13 @@
 /// Estimator warm-up: nodes in the paper know their contact rates from
 /// history. We reproduce that by pre-feeding the estimator with a warm-up
 /// trace drawn from the *same* mobility model with a *different* seed
-/// (time-shifted to negative times), so planning knowledge is realistic
-/// without reusing the evaluation trace.
+/// (world seed + 777, time-shifted to negative times), so planning
+/// knowledge is realistic without reusing the evaluation trace. Only its
+/// contacts are read, so it comes from the trace memo's contacts-only
+/// entries (trace::contactsShared), and a helper thread generates and
+/// feeds it while the world trace is generated; the run waits for it
+/// before anything reads the estimator. An external trace has no second
+/// trace: its own first `estimatorWarmup` span is fed instead, inline.
 
 #include <memory>
 #include <string>
@@ -63,6 +68,8 @@ struct ExperimentConfig {
   cache::CoopCacheConfig cache;
   net::NetworkConfig network;  ///< bandwidth, contact-loss rate
   trace::EstimatorConfig estimator;
+  /// Length of the warm-up history fed to the estimator (see the file
+  /// comment); 0 starts the estimator cold.
   sim::SimTime estimatorWarmup = sim::days(7);
 
   /// Popularity-aware division of the cache-slot budget (total stays

@@ -5,10 +5,10 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/slot_index.hpp"
 #include "sim/assert.hpp"
 
 namespace dtncache::trace {
@@ -22,8 +22,11 @@ ContactTrace::ContactTrace(std::size_t nodeCount, std::vector<Contact> contacts)
     DTNCACHE_CHECK(c.start >= 0.0 && c.duration >= 0.0);
     if (c.a > c.b) std::swap(c.a, c.b);
   }
-  std::stable_sort(contacts_.begin(), contacts_.end(),
-                   [](const Contact& x, const Contact& y) { return x.start < y.start; });
+  // Streamed generators hand over contacts already in start order; checking
+  // first spares them stable_sort's n/2-element scratch buffer.
+  const auto byStart = [](const Contact& x, const Contact& y) { return x.start < y.start; };
+  if (!std::is_sorted(contacts_.begin(), contacts_.end(), byStart))
+    std::stable_sort(contacts_.begin(), contacts_.end(), byStart);
 }
 
 sim::SimTime ContactTrace::duration() const {
@@ -38,26 +41,31 @@ TraceStats ContactTrace::stats() const {
   s.contactCount = contacts_.size();
   s.duration = duration();
 
-  // Flat-keyed counting: one hash per contact instead of a tree walk. The
-  // rate sum below still runs in sorted-pair order (packed keys order like
-  // (a, b) tuples) so the floating-point accumulation matches the old
-  // std::map traversal bit for bit.
-  std::unordered_map<std::uint64_t, std::size_t> perPair;
+  // Flat-keyed counting: one open-addressing probe per contact into a
+  // slot index over flat key/count vectors. The rate sum below runs in
+  // sorted-pair order (packed keys order like (a, b) tuples), so the
+  // floating-point accumulation matches the old std::map traversal bit for
+  // bit.
+  core::SlotIndex slotOf(std::min(contacts_.size(), nodeCount_ * (nodeCount_ - 1) / 2));
+  std::vector<std::pair<std::uint64_t, std::size_t>> perPair;  // (key, contacts)
   double durSum = 0.0;
   for (const auto& c : contacts_) {
-    ++perPair[pairKey(c.a, c.b)];
+    const std::uint64_t key = pairKey(c.a, c.b);
+    std::uint32_t slot = slotOf.find(key);
+    if (slot == core::SlotIndex::kNoSlot) {
+      slot = static_cast<std::uint32_t>(perPair.size());
+      slotOf.insert(key, slot);
+      perPair.emplace_back(key, 0);
+    }
+    ++perPair[slot].second;
     durSum += c.duration;
   }
   s.pairsThatMet = perPair.size();
   if (!contacts_.empty()) s.meanContactDuration = durSum / static_cast<double>(contacts_.size());
   if (s.duration > 0.0 && s.pairsThatMet > 0) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(perPair.size());
-    for (const auto& [key, count] : perPair) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
+    std::sort(perPair.begin(), perPair.end());
     double rateSum = 0.0;
-    for (const std::uint64_t key : keys)
-      rateSum += static_cast<double>(perPair[key]) / s.duration;
+    for (const auto& [key, count] : perPair) rateSum += static_cast<double>(count) / s.duration;
     s.meanPairwiseRate = rateSum / static_cast<double>(s.pairsThatMet);
     const auto totalPairs = static_cast<double>(nodeCount_ * (nodeCount_ - 1) / 2);
     s.meanContactsPerPairPerDay =

@@ -89,7 +89,13 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
   const double targetRate = config.meanContactsPerPairPerDay / sim::days(1);
   const double peakPerWeight = targetRate / (meanWeight * activityMean);
 
+  // Reserve the expected contact count (the renormalization above fixes it
+  // at targetRate per pair over the duration) plus six standard deviations:
+  // growing by doubling instead leaves freed buffers of up to the trace's
+  // size behind in the generating thread's malloc arena.
   std::vector<Contact> contacts;
+  const double expected = targetRate * static_cast<double>(weights.size()) * config.duration;
+  contacts.reserve(static_cast<std::size_t>(expected + 6.0 * std::sqrt(expected) + 64.0));
   std::size_t w = 0;
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j, ++w) {
@@ -118,6 +124,13 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
 
   out.trace = ContactTrace(n, std::move(contacts));
   return out;
+}
+
+ContactTrace generateContacts(const SyntheticTraceConfig& config) {
+  if (config.model == RateModel::kMobilityCommunity ||
+      config.model == RateModel::kMobilityPowerLaw)
+    return SyntheticMobility(config).drain();
+  return generate(config).trace;
 }
 
 SyntheticTraceConfig realityLikeConfig(std::uint64_t seed) {

@@ -105,6 +105,12 @@ struct SyntheticTrace {
 /// Generate a trace from the config. Deterministic in config.seed.
 SyntheticTrace generate(const SyntheticTraceConfig& config);
 
+/// The contacts generate() would produce, without what else it returns.
+/// The mobility models drain their stream and never build the sparse
+/// ground-truth rate matrix; the dense models draw contacts from their
+/// rates, so they build the matrix and drop it.
+ContactTrace generateContacts(const SyntheticTraceConfig& config);
+
 /// 97 nodes / 30 days / strong communities / day-night cycle: a scaled
 /// stand-in for the MIT Reality Mining campus trace (97 devices, 9 months;
 /// we shorten to 30 days and keep per-day density, which preserves every

@@ -1,10 +1,9 @@
 #include "trace/mobility.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
-#include "core/pair_key.hpp"
-#include "core/slot_index.hpp"
 #include "sim/assert.hpp"
 
 namespace dtncache::trace {
@@ -48,9 +47,19 @@ void SyntheticMobility::buildGraph() {
   sim::Rng graphRng = sim::Rng(config_.seed).fork(1);
   const std::size_t attempts = static_cast<std::size_t>(
       std::llround(std::max(1.0, config_.meanDegree / 2.0)));
-  core::SlotIndex seen(n * attempts);
   edges_.reserve(n * attempts);
+  // A pair {u, v} can only have been linked by u earlier in this round or,
+  // when v < u, by v in its own round; both are contiguous runs of edges_
+  // (u's starts at first[u], v's is [first[v], first[v + 1])), each about
+  // `attempts` long. Scanning them is the duplicate check — no pair hash.
+  std::vector<std::size_t> first(n, 0);
+  const auto linkedIn = [this](std::size_t from, std::size_t to, NodeId a, NodeId b) {
+    for (std::size_t i = from; i < to; ++i)
+      if (edges_[i].a == a && edges_[i].b == b) return true;
+    return false;
+  };
   for (NodeId u = 0; u < n; ++u) {
+    first[u] = edges_.size();
     for (std::size_t t = 0; t < attempts; ++t) {
       NodeId v;
       if (communities > 0 && !graphRng.bernoulli(config_.interCommunityFraction)) {
@@ -64,13 +73,14 @@ void SyntheticMobility::buildGraph() {
         v = static_cast<NodeId>(graphRng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
       }
       if (v == u) continue;
-      const std::uint64_t key = core::packSymmetricPair(u, v);
-      if (seen.find(key) != core::SlotIndex::kNoSlot) continue;
-      seen.insert(key, static_cast<std::uint32_t>(edges_.size()));
-      // Store endpoints normalized (a < b) so the stream emits contacts in
-      // the same orientation ContactTrace normalizes to — materialize()
+      // Endpoints are stored normalized (a < b) so the stream emits contacts
+      // in the same orientation ContactTrace normalizes to — materialize()
       // must byte-match the stream.
-      edges_.push_back(Edge{std::min(u, v), std::max(u, v), 0.0});
+      const NodeId a = std::min(u, v);
+      const NodeId b = std::max(u, v);
+      if (linkedIn(first[u], edges_.size(), a, b)) continue;
+      if (v < u && linkedIn(first[v], first[v + 1], a, b)) continue;
+      edges_.push_back(Edge{a, b, 0.0});
     }
   }
 }
@@ -136,14 +146,18 @@ RateMatrix SyntheticMobility::groundTruthRates() const {
   return RateMatrix::fromPairs(config_.nodeCount, edges_, PairBackend::kSparse);
 }
 
+ContactTrace SyntheticMobility::drain() {
+  std::vector<Contact> contacts;
+  Contact c;
+  while (next(c)) contacts.push_back(c);
+  return ContactTrace(config_.nodeCount, std::move(contacts));
+}
+
 SyntheticTrace SyntheticMobility::materialize() {
   SyntheticTrace out;
   out.rates = groundTruthRates();
   out.community = community_;
-  std::vector<Contact> contacts;
-  Contact c;
-  while (next(c)) contacts.push_back(c);
-  out.trace = ContactTrace(config_.nodeCount, std::move(contacts));
+  out.trace = drain();
   return out;
 }
 

@@ -67,6 +67,10 @@ class SyntheticMobility {
   /// never-linked pairs read as rate 0).
   RateMatrix groundTruthRates() const;
 
+  /// Drain the rest of the stream into a contact trace, without building
+  /// the ground-truth rate matrix (the memo's contacts-only entries).
+  ContactTrace drain();
+
   /// Drain the whole stream into a SyntheticTrace (trace + ground-truth
   /// rates + communities), the drop-in equivalent of generate(). Call on a
   /// freshly constructed instance; contacts already taken via next() are

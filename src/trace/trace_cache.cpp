@@ -16,6 +16,7 @@ namespace {
 struct Entry {
   std::uint64_t id = 0;  ///< stable name for the generating caller
   SyntheticTraceConfig config;
+  bool contactsOnly = false;  ///< the trace's rates and community are empty
   /// Set by the generating caller; waiters block on it. Always holds one
   /// reference to the trace once it has a value.
   std::shared_future<std::shared_ptr<const SyntheticTrace>> trace;
@@ -63,9 +64,10 @@ void trimIdle(Cache& c, std::vector<Entry>& evicted) {
   c.entries.erase(keep, c.entries.end());
 }
 
-}  // namespace
-
-std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig& config) {
+/// The memo behind generateShared() and contactsShared(), keyed by
+/// (config, contactsOnly).
+std::shared_ptr<const SyntheticTrace> shared(const SyntheticTraceConfig& config,
+                                             bool contactsOnly) {
   Cache& c = cache();
   std::vector<Entry> evicted;  // destroyed after the lock is released
   std::shared_ptr<const SyntheticTrace> held;
@@ -75,7 +77,9 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
   {
     std::lock_guard<std::mutex> lock(c.mu);
     const auto it = std::find_if(c.entries.begin(), c.entries.end(),
-                                 [&](const Entry& e) { return e.config == config; });
+                                 [&](const Entry& e) {
+                                   return e.config == config && e.contactsOnly == contactsOnly;
+                                 });
     if (it != c.entries.end()) {
       ++c.hits;
       it->lastUse = ++c.clock;
@@ -87,7 +91,8 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
     } else {
       ++c.misses;
       id = ++c.clock;
-      c.entries.push_back(Entry{id, config, promise.get_future().share(), false, id});
+      c.entries.push_back(
+          Entry{id, config, contactsOnly, promise.get_future().share(), false, id});
     }
     trimIdle(c, evicted);
   }
@@ -100,7 +105,12 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
   // behind this one, and workers on this config wait on the entry's future.
   std::shared_ptr<const SyntheticTrace> fresh;
   try {
-    fresh = std::make_shared<const SyntheticTrace>(generate(config));
+    SyntheticTrace made;
+    if (contactsOnly)
+      made.trace = generateContacts(config);
+    else
+      made = generate(config);
+    fresh = std::make_shared<const SyntheticTrace>(std::move(made));
   } catch (...) {
     // Every waiter gets the exception; the entry goes, so a later call
     // retries instead of finding a failed result.
@@ -114,6 +124,16 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
   for (Entry& e : c.entries)  // absent if clearTraceCache() ran meanwhile
     if (e.id == id) e.ready = true;
   return fresh;
+}
+
+}  // namespace
+
+std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig& config) {
+  return shared(config, /*contactsOnly=*/false);
+}
+
+std::shared_ptr<const SyntheticTrace> contactsShared(const SyntheticTraceConfig& config) {
+  return shared(config, /*contactsOnly=*/true);
 }
 
 namespace {

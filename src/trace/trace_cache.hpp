@@ -13,7 +13,8 @@
 /// a fresh generate() would produce.
 ///
 /// The memo is keyed by the full config (every field, not just the seed)
-/// and is safe to call from concurrent sweep workers:
+/// plus whether the caller wants the whole trace or its contacts only, and
+/// is safe to call from concurrent sweep workers:
 ///  - Single-flight: the first caller of a config generates it; concurrent
 ///    callers of the same config wait for that result instead of
 ///    generating duplicates. If generation throws, every waiter gets the
@@ -38,6 +39,14 @@ namespace dtncache::trace {
 /// (or waiting for) a generation of an identical config when one is cached
 /// or in flight. Rethrows generate()'s exception for an invalid config.
 std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig& config);
+
+/// Like generateShared(), but the entry holds generateContacts(config)
+/// only: `rates` and `community` are empty. For callers that replay the
+/// contacts and read nothing else — the estimator warm-up — this skips the
+/// mobility models' sparse ground-truth rate matrix. A separate entry from
+/// generateShared(config)'s, under the same single-flight and retention
+/// rules and the same hit/miss counters.
+std::shared_ptr<const SyntheticTrace> contactsShared(const SyntheticTraceConfig& config);
 
 struct TraceCacheStats {
   std::size_t hits = 0;     ///< calls served by a cached or in-flight trace

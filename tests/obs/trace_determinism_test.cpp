@@ -59,32 +59,52 @@ TEST(TraceDeterminism, MergedTraceIsByteIdenticalAcrossJobCounts) {
 TEST(TraceDeterminism, TraceHasJobLifecycleInIndexOrder) {
   const std::string text = runTraced(4, obs::kindBit(obs::EventKind::kJobStart) |
                                             obs::kindBit(obs::EventKind::kJobDone));
-  // 4 jobs × (job_start + job_done), strictly interleaved per job because
-  // buffers are flushed whole, in job-index order.
+  // 4 jobs × (trace_filter record + job_start + job_done), strictly
+  // grouped per job because buffers are flushed whole, in job-index order.
   std::istringstream lines(text);
   std::string line;
-  std::size_t expectJob = 0;
-  bool expectStart = true;
   std::size_t count = 0;
-  while (std::getline(lines, line)) {
-    const std::string kind = expectStart ? "job_start" : "job_done";
-    EXPECT_NE(line.find("\"kind\": \"" + kind + "\""), std::string::npos) << line;
-    EXPECT_NE(line.find("\"job\": " + std::to_string(expectJob)), std::string::npos)
+  for (std::size_t job = 0; job < 4; ++job) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_NE(line.find("\"kind\": \"trace_filter\", \"kept\": \"job_start,job_done\""),
+              std::string::npos)
         << line;
-    if (!expectStart) ++expectJob;
-    expectStart = !expectStart;
-    ++count;
+    for (const char* kind : {"job_start", "job_done"}) {
+      ASSERT_TRUE(std::getline(lines, line));
+      EXPECT_NE(line.find(std::string("\"kind\": \"") + kind + "\""), std::string::npos)
+          << line;
+      EXPECT_NE(line.find("\"job\": " + std::to_string(job)), std::string::npos) << line;
+    }
+    count += 3;
   }
-  EXPECT_EQ(count, 8u);
+  EXPECT_FALSE(std::getline(lines, line)) << line;
+  EXPECT_EQ(count, 12u);
 }
 
 TEST(TraceDeterminism, FilterKeepsOnlyRequestedKinds) {
   const std::string text = runTraced(2, obs::kindBit(obs::EventKind::kVersionBump));
   EXPECT_FALSE(text.empty());
+  // Besides the requested kind, each run carries exactly one record naming
+  // the kinds its filter kept.
   std::istringstream lines(text);
   std::string line;
-  while (std::getline(lines, line))
+  std::size_t records = 0;
+  std::size_t bumps = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"kind\": \"trace_filter\"") != std::string::npos) {
+      EXPECT_NE(line.find("\"kept\": \"version_bump\"}"), std::string::npos) << line;
+      ++records;
+      continue;
+    }
     EXPECT_NE(line.find("\"kind\": \"version_bump\""), std::string::npos) << line;
+    ++bumps;
+  }
+  EXPECT_EQ(records, 4u);  // 2 schemes × 2 seeds
+  EXPECT_GT(bumps, 0u);
+}
+
+TEST(TraceDeterminism, UnfilteredTraceHasNoFilterRecord) {
+  EXPECT_EQ(runTraced(2).find("trace_filter"), std::string::npos);
 }
 
 TEST(TraceDeterminism, SimCliPathTracerCollectsEvents) {

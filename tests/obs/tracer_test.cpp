@@ -60,6 +60,16 @@ TEST(Tracer, FilterDropsUnwantedKindsWithoutEvaluatingFields) {
   EXPECT_NE(tracer.buffer().find("\"kind\": \"push\""), std::string::npos);
 }
 
+TEST(Tracer, FilteredTracerRecordsTheKindsItKeeps) {
+  Tracer filtered("r", kindBit(EventKind::kPlan) | kindBit(EventKind::kContact));
+  EXPECT_EQ(filtered.buffer(),
+            "{\"run\": \"r\", \"t\": 0, \"kind\": \"trace_filter\", "
+            "\"kept\": \"contact,plan\"}\n");
+  EXPECT_EQ(filtered.eventCount(), 0u);  // a record about the trace, not an event
+
+  EXPECT_EQ(Tracer("r").buffer(), "");  // unfiltered traces are unchanged
+}
+
 TEST(Tracer, NullTracerAddsNothingAndEvaluatesNothing) {
   int evaluations = 0;
   const auto arg = [&evaluations] {

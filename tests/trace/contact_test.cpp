@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "sim/assert.hpp"
+#include "trace/generators.hpp"
+#include "trace/mobility.hpp"
 
 namespace dtncache::trace {
 namespace {
@@ -57,6 +60,51 @@ TEST(ContactTrace, StatsAggregates) {
   EXPECT_EQ(s.contactCount, 4u);
   EXPECT_EQ(s.pairsThatMet, 3u);
   EXPECT_DOUBLE_EQ(s.meanContactDuration, (5.0 + 2.0 + 1.0 + 3.0) / 4.0);
+}
+
+/// stats() as a std::map walk: per-pair counts in (a, b) order, the rate
+/// sum accumulated in that order.
+TraceStats referenceStats(const ContactTrace& trace) {
+  TraceStats s;
+  s.nodeCount = trace.nodeCount();
+  s.contactCount = trace.contacts().size();
+  s.duration = trace.duration();
+  std::map<std::pair<NodeId, NodeId>, std::size_t> perPair;
+  double durSum = 0.0;
+  for (const auto& c : trace.contacts()) {
+    ++perPair[{c.a, c.b}];
+    durSum += c.duration;
+  }
+  s.pairsThatMet = perPair.size();
+  if (s.contactCount > 0) s.meanContactDuration = durSum / static_cast<double>(s.contactCount);
+  if (s.duration > 0.0 && s.pairsThatMet > 0) {
+    double rateSum = 0.0;
+    for (const auto& [pair, count] : perPair) rateSum += static_cast<double>(count) / s.duration;
+    s.meanPairwiseRate = rateSum / static_cast<double>(s.pairsThatMet);
+    const auto totalPairs = static_cast<double>(s.nodeCount * (s.nodeCount - 1) / 2);
+    s.meanContactsPerPairPerDay =
+        static_cast<double>(s.contactCount) / totalPairs / sim::toDays(s.duration);
+  }
+  return s;
+}
+
+TEST(ContactTrace, StatsAreBitEqualToAnOrderedMapReference) {
+  SyntheticTraceConfig mobility = mobilityConfig(3000, 4);
+  mobility.duration = sim::days(2);
+  for (const SyntheticTraceConfig& config : {infocomLikeConfig(2), mobility}) {
+    const ContactTrace trace = generate(config).trace;
+    const TraceStats got = trace.stats();
+    const TraceStats want = referenceStats(trace);
+    EXPECT_GT(got.pairsThatMet, 0u);
+    EXPECT_EQ(got.nodeCount, want.nodeCount);
+    EXPECT_EQ(got.contactCount, want.contactCount);
+    EXPECT_EQ(got.pairsThatMet, want.pairsThatMet);
+    // Bit-equal, not merely close: the sums run in the same order.
+    EXPECT_EQ(got.duration, want.duration);
+    EXPECT_EQ(got.meanContactDuration, want.meanContactDuration);
+    EXPECT_EQ(got.meanPairwiseRate, want.meanPairwiseRate);
+    EXPECT_EQ(got.meanContactsPerPairPerDay, want.meanContactsPerPairPerDay);
+  }
 }
 
 TEST(ContactTrace, TruncatedKeepsEarlyContacts) {

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <queue>
+#include <unordered_set>
+#include <vector>
 
+#include "core/pair_key.hpp"
 #include "trace/mobility.hpp"
 #include "trace/trace_cache.hpp"
 
@@ -80,6 +84,105 @@ TEST(SyntheticMobility, GenerateDelegatesToMobility) {
   tweaked.meanDegree += 1.0;
   const auto shared2 = trace::generateShared(tweaked);
   EXPECT_NE(shared1->trace.contacts().size(), shared2->trace.contacts().size());
+}
+
+/// The generator as it was written with a pair-hash duplicate check: the
+/// same draws, a hash set of linked pairs instead of range scans. Returns
+/// the edges in insertion order (rates filled in) and the contact stream.
+struct ReferenceMobility {
+  std::vector<trace::PairRate> edges;
+  std::vector<trace::Contact> contacts;
+};
+
+ReferenceMobility hashDedupReference(const SyntheticTraceConfig& config) {
+  ReferenceMobility out;
+  const std::size_t n = config.nodeCount;
+  const std::size_t communities =
+      config.model == RateModel::kMobilityCommunity ? config.communities : 0;
+  sim::Rng graphRng = sim::Rng(config.seed).fork(1);
+  const auto attempts =
+      static_cast<std::size_t>(std::llround(std::max(1.0, config.meanDegree / 2.0)));
+  std::unordered_set<std::uint64_t> seen;
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::size_t t = 0; t < attempts; ++t) {
+      NodeId v;
+      if (communities > 0 && !graphRng.bernoulli(config.interCommunityFraction)) {
+        const std::size_t r = u % communities;
+        const std::size_t members = (n - r + communities - 1) / communities;
+        v = static_cast<NodeId>(
+            r + communities * static_cast<std::size_t>(
+                                  graphRng.uniformInt(0, static_cast<std::int64_t>(members) - 1)));
+      } else {
+        v = static_cast<NodeId>(graphRng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+      }
+      if (v == u || !seen.insert(core::packSymmetricPair(u, v)).second) continue;
+      out.edges.push_back({std::min(u, v), std::max(u, v), 0.0});
+    }
+  }
+
+  sim::Rng rateRng = sim::Rng(config.seed).fork(3);
+  double weightSum = 0.0;
+  for (auto& e : out.edges) {
+    e.rate = rateRng.paretoTruncated(1.0, config.paretoShape, config.rateSpread);
+    weightSum += e.rate;
+  }
+  const double perWeight = config.meanContactsPerPairPerDay / sim::days(1) /
+                           (weightSum / static_cast<double>(out.edges.size()));
+  for (auto& e : out.edges) e.rate *= perWeight;
+
+  sim::Rng streamRng = sim::Rng(config.seed).fork(2);
+  const auto gap = [&](const trace::PairRate& e) {
+    if (config.model == RateModel::kMobilityPowerLaw) {
+      const double alpha = config.interContactAlpha;
+      return streamRng.pareto((alpha - 1.0) / (alpha * e.rate), alpha);
+    }
+    return streamRng.exponential(e.rate);
+  };
+  using Next = std::pair<double, std::uint32_t>;
+  std::priority_queue<Next, std::vector<Next>, std::greater<Next>> heap;
+  for (std::uint32_t i = 0; i < out.edges.size(); ++i)
+    if (const double t = gap(out.edges[i]); t < config.duration) heap.emplace(t, i);
+  while (!heap.empty()) {
+    const auto [t, i] = heap.top();
+    heap.pop();
+    trace::Contact c;
+    c.start = t;
+    c.duration = streamRng.exponential(1.0 / config.meanContactDuration);
+    c.a = out.edges[i].a;
+    c.b = out.edges[i].b;
+    out.contacts.push_back(c);
+    if (const double next = t + gap(out.edges[i]); next < config.duration) heap.emplace(next, i);
+  }
+  return out;
+}
+
+TEST(SyntheticMobility, RangeScanDedupMatchesHashDedupReference) {
+  // 60 nodes with 20 initiations each: many draws collide with a pair that
+  // is already linked, from either endpoint's side.
+  for (const RateModel model : {RateModel::kMobilityCommunity, RateModel::kMobilityPowerLaw}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SyntheticTraceConfig config = smallConfig(model, seed);
+      config.nodeCount = 60;
+      config.communities = 3;
+      config.meanDegree = 40.0;
+      const ReferenceMobility ref = hashDedupReference(config);
+      EXPECT_LT(ref.edges.size() + 200, 60u * 20u);  // hundreds of draws collided
+      SyntheticMobility mobility(config);
+      ASSERT_EQ(mobility.edgeCount(), ref.edges.size());
+      const trace::RateMatrix rates = mobility.groundTruthRates();
+      EXPECT_EQ(rates.observedPairCount(), ref.edges.size());
+      for (const auto& e : ref.edges) EXPECT_EQ(rates.rate(e.a, e.b), e.rate);
+
+      const auto contacts = mobility.drain().contacts();
+      ASSERT_EQ(contacts.size(), ref.contacts.size());
+      for (std::size_t i = 0; i < contacts.size(); ++i) {
+        EXPECT_EQ(contacts[i].a, ref.contacts[i].a);
+        EXPECT_EQ(contacts[i].b, ref.contacts[i].b);
+        EXPECT_EQ(contacts[i].start, ref.contacts[i].start);
+        EXPECT_EQ(contacts[i].duration, ref.contacts[i].duration);
+      }
+    }
+  }
 }
 
 TEST(SyntheticMobility, GraphIsSparseAndRatesNormalized) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "runner/experiment.hpp"
+#include "trace/mobility.hpp"
 #include "trace/rate_matrix.hpp"
 
 namespace dtncache::trace {
@@ -200,6 +201,58 @@ TEST(TraceMemo, BackToBackExperimentsHitWorldAndWarmup) {
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(first.results.meanFreshFraction, second.results.meanFreshFraction);
+}
+
+// ---- contactsShared -----------------------------------------------------------
+
+void expectSameContacts(const ContactTrace& a, const ContactTrace& b) {
+  ASSERT_EQ(a.nodeCount(), b.nodeCount());
+  ASSERT_EQ(a.contacts().size(), b.contacts().size());
+  for (std::size_t i = 0; i < a.contacts().size(); ++i) {
+    const Contact& x = a.contacts()[i];
+    const Contact& y = b.contacts()[i];
+    ASSERT_EQ(x.a, y.a);
+    ASSERT_EQ(x.b, y.b);
+    ASSERT_EQ(x.start, y.start);
+    ASSERT_EQ(x.duration, y.duration);
+  }
+}
+
+SyntheticTraceConfig smallMobility(RateModel model) {
+  SyntheticTraceConfig config = mobilityConfig(400, 3);
+  config.model = model;
+  config.duration = sim::days(2);
+  config.meanDegree = 10.0;
+  return config;
+}
+
+TEST(TraceMemo, ContactsOnlyEntriesEqualTheFullTracesContacts) {
+  for (const SyntheticTraceConfig& config :
+       {infocomLikeConfig(5), smallMobility(RateModel::kMobilityCommunity),
+        smallMobility(RateModel::kMobilityPowerLaw)}) {
+    clearTraceCache();
+    const auto contacts = contactsShared(config);
+    const auto full = generateShared(config);
+    expectSameContacts(contacts->trace, full->trace);
+    EXPECT_GT(contacts->trace.contacts().size(), 0u);
+    // Two entries, one per kind of request; repeats hit their own entry.
+    EXPECT_NE(contacts.get(), full.get());
+    EXPECT_EQ(contactsShared(config).get(), contacts.get());
+    EXPECT_EQ(generateShared(config).get(), full.get());
+    const auto stats = traceCacheStats();
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.hits, 2u);
+  }
+}
+
+TEST(TraceMemo, MobilityContactsOnlyEntryHoldsNoRateMatrix) {
+  clearTraceCache();
+  const SyntheticTraceConfig config = smallMobility(RateModel::kMobilityCommunity);
+  const auto contacts = contactsShared(config);
+  EXPECT_EQ(contacts->rates.nodeCount(), 0u);
+  EXPECT_EQ(contacts->rates.observedPairCount(), 0u);
+  EXPECT_TRUE(contacts->community.empty());
+  EXPECT_GT(generateShared(config)->rates.observedPairCount(), 0u);
 }
 
 }  // namespace
